@@ -271,10 +271,9 @@ BENCHMARK(BM_BankedAccess);
 void
 BM_SetAssocAccessLarge(benchmark::State &state)
 {
-    // 256 MB modeled capacity (4M 64-byte lines, 16-way): the
-    // large-CMP L2 size the sharded runtime targets. Exercises the
-    // access path at a metadata footprint that spills far outside
-    // the host LLC.
+    // 256 MB modeled capacity (4M 64-byte lines, 16-way): a
+    // large-CMP L2. Exercises the access path at a metadata
+    // footprint that spills far outside the host LLC.
     Cache cache(std::make_unique<SetAssocArray>(4194304, 16, true, 1),
                 std::make_unique<Unpartitioned>(
                     1, std::make_unique<ExactLru>()),
@@ -294,9 +293,8 @@ void
 BM_BankedAccessLarge(benchmark::State &state)
 {
     // 256 MB modeled capacity split over 8 banks of 512K-line Z4/52
-    // zcaches with one Vantage controller each — the per-bank unit
-    // of work a shard worker executes in the 128-core scaling
-    // configuration.
+    // zcaches with one Vantage controller each: bank routing plus a
+    // per-bank access at a 128-core machine's L2 size.
     VantageConfig cfg;
     cfg.numPartitions = 4;
     cfg.unmanagedFraction = 0.05;

@@ -109,16 +109,6 @@ def main():
              "(e.g. '--metrics-port 0' to assert observability "
              "features are digest-neutral)")
     ap.add_argument(
-        "--shard-parity", default="",
-        help="comma-separated --shard-workers values (e.g. "
-             "'0,1,2,7'); each point runs banked once per value and "
-             "all digests must agree with each other (banking "
-             "changes placement, so they are not compared against "
-             "the pinned flat-cache digests)")
-    ap.add_argument(
-        "--shard-banks", type=int, default=8,
-        help="--banks value for --shard-parity runs (default 8)")
-    ap.add_argument(
         "--lifecycle", action="store_true",
         help="run only the dynamic-tenant points (lines whose args "
              "contain --lifecycle); each records its journal to a "
@@ -128,9 +118,9 @@ def main():
 
     path = pathlib.Path(opts.file)
     entries = list(parse_lines(path))
-    # Lifecycle points are their own population: the static modes
-    # (pinned compare, shard parity) skip them, and --lifecycle runs
-    # only them, adding the record/replay parity assertion.
+    # Lifecycle points are their own population: the static compare
+    # skips them, and --lifecycle runs only them, adding the
+    # record/replay parity assertion.
     if opts.lifecycle:
         entries = [e for e in entries if "--lifecycle" in e[2]]
         if not entries:
@@ -139,39 +129,6 @@ def main():
         entries = [e for e in entries if "--lifecycle" not in e[2]]
     if not entries:
         sys.exit(f"{path}: no digest entries")
-
-    if opts.shard_parity:
-        workers = [int(w) for w in opts.shard_parity.split(",")]
-        failures = 0
-        for lineno, _pinned, args in entries:
-            digests = {}
-            for w in workers:
-                got = run_digest(
-                    opts.vsim, args,
-                    extra + ["--banks", str(opts.shard_banks),
-                             "--shard-workers", str(w)])
-                if got is None:
-                    failures += 1
-                    break
-                digests[w] = got
-            else:
-                if len(set(digests.values())) == 1:
-                    print(f"ok    {digests[workers[0]]}  "
-                          f"workers {opts.shard_parity}  "
-                          f"{' '.join(args)}", flush=True)
-                else:
-                    print(f"FAIL  {' '.join(args)}", flush=True)
-                    for w, d in digests.items():
-                        print(f"      workers={w}: {d}", flush=True)
-                    failures += 1
-        if failures:
-            print(f"{failures} of {len(entries)} shard-parity "
-                  f"points failed", flush=True)
-            return 1
-        print(f"all {len(entries)} points shard-parity clean "
-              f"(workers {opts.shard_parity}, "
-              f"{opts.shard_banks} banks)", flush=True)
-        return 0
 
     measured = {}
     failures = 0

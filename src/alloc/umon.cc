@@ -4,7 +4,6 @@
 
 #include "common/bits.h"
 #include "common/log.h"
-#include "stats/prof.h"
 
 namespace vantage {
 
@@ -30,7 +29,6 @@ Umon::Umon(std::uint32_t ways, std::uint32_t sampled_sets,
 void
 Umon::access(Addr addr)
 {
-    VANTAGE_PROF("umon.access");
     const std::uint64_t bucket = hash_.mod(addr, modeledSets_);
     if (bucket >= sampledSets_) {
         return;

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/bits.h"
-#include "stats/prof.h"
 #include "trace/event_trace.h"
 
 // Hint the next BFS level's hot slots into cache while the current
@@ -175,7 +174,6 @@ template <bool kW4>
 void
 ZArray::walkImpl(Addr addr, CandidateBuf &out) const
 {
-    VANTAGE_PROF("zarray.walk");
     out.clear();
 
     // Epoch-stamped visited set: O(1) dedup, no per-walk clearing.

@@ -1,7 +1,5 @@
 #include "cache/banked_cache.h"
 
-#include <chrono>
-
 #include "common/log.h"
 #include "core/vantage_variants.h"
 #include "stats/registry.h"
@@ -21,13 +19,6 @@ BankedCache::BankedCache(std::vector<std::unique_ptr<Cache>> banks,
     }
 }
 
-BankedCache::~BankedCache()
-{
-    // Backstop: the simulator stops shard mode itself; tolerate
-    // teardown with workers still up.
-    shardStop();
-}
-
 std::uint32_t
 BankedCache::bankOf(Addr addr) const
 {
@@ -38,8 +29,6 @@ BankedCache::bankOf(Addr addr) const
 AccessResult
 BankedCache::access(Addr addr, PartId part, AccessType type)
 {
-    vantage_assert(!shardActive(),
-                   "serial access while shard workers are running");
     return banks_[bankOf(addr)]->access(addr, part, type);
 }
 
@@ -166,10 +155,6 @@ BankedCache::resetStats()
     for (auto &bank : banks_) {
         bank->resetStats();
     }
-    // Keep the shard-mode accumulator in lockstep with the bank
-    // counters, so shardWbFolded() and writebacks() stay two views
-    // of the same cumulative-since-reset quantity.
-    shardWbFolded_ = 0;
 }
 
 void
@@ -205,8 +190,7 @@ BankedCache::finalizeDigest()
         return;
     }
     // Bank-major merge: each bank's stream value is one word of the
-    // outer digest. The order is fixed, so the result is identical
-    // for any worker count (0 included).
+    // outer digest, in bank order.
     for (const AccessDigest &d : bankDigests_) {
         extDigest_->fold(d.value());
     }
@@ -223,8 +207,6 @@ BankedCache::checkInvariants(InvariantReport &rep) const
 void
 BankedCache::createPartition(PartId part)
 {
-    vantage_assert(!shardActive(),
-                   "lifecycle change while shard workers are running");
     for (auto &bank : banks_) {
         bank->createPartition(part);
     }
@@ -233,8 +215,6 @@ BankedCache::createPartition(PartId part)
 void
 BankedCache::destroyPartition(PartId part)
 {
-    vantage_assert(!shardActive(),
-                   "lifecycle change while shard workers are running");
     for (auto &bank : banks_) {
         bank->destroyPartition(part);
     }
@@ -244,18 +224,6 @@ bool
 BankedCache::partitionActive(PartId part) const
 {
     return banks_[0]->scheme().partitionActive(part);
-}
-
-void
-BankedCache::registerIntrospection(StatsRegistry &reg,
-                                   const std::string &prefix) const
-{
-    for (std::uint32_t b = 0; b < numBanks(); ++b) {
-        const std::string base =
-            prefix + ".bank" + std::to_string(b);
-        banks_[b]->registerIntrospection(reg, base + ".cache");
-        banks_[b]->scheme().registerIntrospection(reg, base);
-    }
 }
 
 void
@@ -281,141 +249,6 @@ BankedCache::registerStats(StatsRegistry &reg,
     for (std::uint32_t b = 0; b < numBanks(); ++b) {
         banks_[b]->registerStats(
             reg, prefix + ".bank" + std::to_string(b));
-    }
-}
-
-// ----------------------------------------------------------------------
-// Shard runtime.
-
-void
-BankedCache::shardStart(std::uint32_t workers,
-                        std::size_t ringCapacity)
-{
-    vantage_assert(!shardActive(), "shard workers already running");
-    vantage_assert(workers > 0, "need at least one shard worker");
-    vantage_assert(workers <= numBanks(),
-                   "%u shard workers for %u banks", workers,
-                   numBanks());
-    shardWorkers_ = workers;
-    shardReq_.reserve(workers);
-    shardRes_.reserve(workers);
-    shardStats_.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-        shardReq_.push_back(
-            std::make_unique<SpscRing<ShardRequest>>(ringCapacity));
-        shardRes_.push_back(
-            std::make_unique<SpscRing<ShardResult>>(ringCapacity));
-        shardStats_.push_back(std::make_unique<ShardWorkerStats>());
-    }
-    shardPool_ = std::make_unique<ThreadPool>(workers);
-    shardJoin_.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-        shardJoin_.push_back(
-            shardPool_->submit([this, w] { shardWorkerLoop(w); }));
-    }
-}
-
-void
-BankedCache::shardStop()
-{
-    if (!shardActive()) {
-        return;
-    }
-    // A worker blocked publishing into a full result ring cannot
-    // consume its stop sentinel, so keep draining results while
-    // delivering the sentinels and waiting for the loops to exit.
-    // Normal teardown (coordinator consumed every result) never
-    // discards anything here.
-    const auto drain = [this](std::uint32_t w) {
-        ShardResult r;
-        while (shardRes_[w]->tryPop(r)) {
-        }
-    };
-    for (std::uint32_t w = 0; w < shardWorkers_; ++w) {
-        ShardRequest stop;
-        stop.stop = true;
-        while (!shardReq_[w]->tryPush(stop)) {
-            drain(w);
-        }
-    }
-    for (std::uint32_t w = 0; w < shardWorkers_; ++w) {
-        while (shardJoin_[w].wait_for(std::chrono::milliseconds(
-                   1)) != std::future_status::ready) {
-            drain(w);
-        }
-        shardJoin_[w].get();
-    }
-    shardPool_.reset();
-    shardJoin_.clear();
-    shardReq_.clear();
-    shardRes_.clear();
-    shardWorkers_ = 0;
-}
-
-bool
-BankedCache::shardTryEnqueue(Addr addr, PartId part, AccessType type,
-                             std::uint32_t &worker)
-{
-    const std::uint32_t bank = bankOf(addr);
-    const std::uint32_t w = bank % shardWorkers_;
-    ShardWorkerStats &st = *shardStats_[w];
-    ShardRequest req;
-    req.addr = addr;
-    req.part = part;
-    req.type = type;
-    req.bank = bank;
-    if (!shardReq_[w]->tryPush(req)) {
-        ++st.enqueueStalls;
-        return false;
-    }
-    ++st.accesses;
-    st.queueDepth.add(shardReq_[w]->size());
-    worker = w;
-    return true;
-}
-
-ShardResult
-BankedCache::shardPopResult(std::uint32_t worker)
-{
-    ShardResult out;
-    shardRes_[worker]->pop(out);
-    return out;
-}
-
-void
-BankedCache::shardWorkerLoop(std::uint32_t w)
-{
-    ShardRequest req;
-    for (;;) {
-        shardReq_[w]->pop(req);
-        if (req.stop) {
-            return;
-        }
-        Cache &bank = *banks_[req.bank];
-        const std::uint64_t before = bank.writebacks();
-        ShardResult out;
-        out.result = bank.access(req.addr, req.part, req.type);
-        out.wbDelta =
-            static_cast<std::uint32_t>(bank.writebacks() - before);
-        shardRes_[w]->push(out);
-    }
-}
-
-void
-BankedCache::registerShardStats(StatsRegistry &reg,
-                                const std::string &prefix) const
-{
-    const std::uint32_t workers = shardWorkers_;
-    reg.addGauge(prefix + ".workers", [workers] {
-        return static_cast<double>(workers);
-    });
-    for (std::uint32_t w = 0; w < workers; ++w) {
-        const std::string base =
-            prefix + ".worker." + std::to_string(w);
-        const ShardWorkerStats &st = *shardStats_[w];
-        reg.addCounter(base + ".accesses", &st.accesses);
-        reg.addCounter(base + ".enqueue_stalls", &st.enqueueStalls);
-        reg.addHistogram(base + ".queue_depth", &st.queueDepth);
     }
 }
 

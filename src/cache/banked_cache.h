@@ -8,56 +8,28 @@
  * keeps one complete Cache (array + scheme) per bank. Allocations
  * are expressed globally and divided evenly across banks, which is
  * exact in expectation because the hash spreads every partition's
- * lines uniformly over banks.
+ * lines uniformly over banks. The banks are parallel hardware, but
+ * the simulator only has to route: every access runs serially on
+ * the caller's thread.
  *
- * Sharded execution (vsim --shard-workers=N): banks are statically
- * assigned to N worker threads (bank % N), each fed by a bounded
- * lock-free SPSC request ring and answered over a matching result
- * ring (common/spsc_ring.h). Because a bank's accesses always land
- * in one ring, in issue order, every bank processes exactly the
- * serial access sequence — the sequencing property the bit-identical
- * digest guarantee rests on (DESIGN.md §12). Digests fold into
- * per-bank streams and finalizeDigest() merges them in canonical
- * bank-major order, so the merged value is independent of worker
- * count (including 0 = serial). The coordinator (CmpSim) owns all
- * shard telemetry; workers touch only their banks and rings, which
- * keeps the mode clean under ThreadSanitizer.
+ * Digests fold into one stream per bank, and finalizeDigest() merges
+ * the streams bank-major into the attached digest. That merge is the
+ * definition of a banked digest: every pinned banked golden point
+ * was captured with it, so folding outcomes inline into one stream
+ * would change every banked digest without any behavior change.
  */
 
 #ifndef VANTAGE_CACHE_BANKED_CACHE_H_
 #define VANTAGE_CACHE_BANKED_CACHE_H_
 
-#include <functional>
-#include <future>
 #include <memory>
 #include <vector>
 
 #include "cache/cache.h"
 #include "cache/shared_l2.h"
-#include "common/spsc_ring.h"
-#include "common/thread_pool.h"
 #include "hash/h3.h"
-#include "stats/histogram.h"
 
 namespace vantage {
-
-/** One routed access, coordinator -> bank worker. */
-struct ShardRequest
-{
-    Addr addr = 0;
-    PartId part = 0;
-    AccessType type = AccessType::Load;
-    std::uint32_t bank = 0;
-    bool stop = false; ///< Sentinel: worker exits, access ignored.
-};
-
-/** One access outcome, bank worker -> coordinator. */
-struct ShardResult
-{
-    AccessResult result = AccessResult::Miss;
-    /** Dirty evictions this access caused (its bank's delta). */
-    std::uint32_t wbDelta = 0;
-};
 
 /** N independent banks behind one access interface. */
 class BankedCache : public SharedL2
@@ -70,8 +42,6 @@ class BankedCache : public SharedL2
      */
     explicit BankedCache(std::vector<std::unique_ptr<Cache>> banks,
                          std::uint64_t seed = 0xba4c);
-
-    ~BankedCache() override;
 
     /** Route and access; same semantics as Cache::access. */
     AccessResult access(Addr addr, PartId part,
@@ -95,9 +65,7 @@ class BankedCache : public SharedL2
 
     /**
      * Set global allocations (in each bank-scheme's units); each
-     * bank receives the same per-partition share. In shard mode the
-     * caller must quiesce (drain every in-flight access) first —
-     * this is the epoch barrier at UCP reallocation points.
+     * bank receives the same per-partition share.
      */
     void
     setAllocations(const std::vector<std::uint32_t> &units) override;
@@ -128,14 +96,6 @@ class BankedCache : public SharedL2
     void
     registerLiveIntrospection(StatsRegistry &reg) const override;
 
-    /**
-     * Legacy explicit-prefix export: each bank's cache counters
-     * under `prefix`.bankB.cache and its scheme state under
-     * `prefix`.bankB.
-     */
-    void registerIntrospection(StatsRegistry &reg,
-                               const std::string &prefix) const;
-
     /** Post-mortem export: every bank under `prefix`.bankB. */
     void registerStats(StatsRegistry &reg,
                        const std::string &prefix) const override;
@@ -143,106 +103,33 @@ class BankedCache : public SharedL2
     void enableHistograms() override;
 
     /**
-     * Fold access outcomes into per-bank streams merged into
-     * `digest` by finalizeDigest(). The per-bank streams make the
-     * digest independent of the worker count: each bank observes its
-     * serial access order no matter which thread runs it.
+     * Fold access outcomes into per-bank streams, merged into
+     * `digest` by finalizeDigest().
      */
     void attachDigest(AccessDigest *digest) override;
 
     /** Merge the per-bank streams, bank-major (order is part of the
-     *  digest definition). Call once, after the last access, with
-     *  shard workers quiesced. */
+     *  digest definition). Call once, after the last access. */
     void finalizeDigest() override;
 
     /** Run every bank's invariant checks into one report. */
     void checkInvariants(InvariantReport &rep) const override;
 
     /**
-     * Tenant lifecycle: applied to every bank in bank order, with
-     * shard workers quiesced, so each bank folds the lifecycle
-     * marker into its digest stream at the same point in its serial
-     * access order for any worker count.
+     * Tenant lifecycle: applied to every bank in bank order, so each
+     * bank folds the lifecycle marker into its own digest stream.
      */
     void createPartition(PartId part) override;
     void destroyPartition(PartId part) override;
     bool partitionActive(PartId part) const override;
 
-    BankedCache *banked() override { return this; }
-
-    // ------------------------------------------------------------------
-    // Shard runtime (driven by CmpSim; see DESIGN.md §12).
-
-    /**
-     * Spin up `workers` bank workers (<= numBanks()), each on its
-     * own thread-pool thread with request/result rings of at least
-     * `ringCapacity` slots. Until shardStop(), access() must not be
-     * called — route through shardTryEnqueue()/shardPopResult().
-     */
-    void shardStart(std::uint32_t workers, std::size_t ringCapacity);
-
-    /** Stop and join the workers (in-flight results are drained). */
-    void shardStop();
-
-    bool shardActive() const { return shardWorkers_ > 0; }
-    std::uint32_t shardWorkers() const { return shardWorkers_; }
-
-    /**
-     * Route one access to its bank's worker. On success sets
-     * `worker` (the ring to pop the result from) and records the
-     * queue-depth sample; on a full ring counts a stall and returns
-     * false — the caller must pop a result and retry.
-     */
-    bool shardTryEnqueue(Addr addr, PartId part, AccessType type,
-                         std::uint32_t &worker);
-
-    /** Pop `worker`'s oldest outcome, sleeping until one arrives. */
-    ShardResult shardPopResult(std::uint32_t worker);
-
-    /**
-     * Coordinator-side writeback accumulator: CmpSim folds each
-     * result's wbDelta in resolution (= issue) order, reproducing
-     * the serial `writebacks()` reads bit for bit. Reset together
-     * with the bank counters by resetStats().
-     */
-    void shardNoteWb(std::uint32_t delta) { shardWbFolded_ += delta; }
-    std::uint64_t shardWbFolded() const { return shardWbFolded_; }
-
-    /**
-     * Per-worker shard telemetry under `prefix`.worker.W: accesses
-     * routed, enqueue stalls, and a queue-depth histogram. All
-     * coordinator-written; safe for the metrics sampler under the
-     * registry's relaxed-read contract.
-     */
-    void registerShardStats(StatsRegistry &reg,
-                            const std::string &prefix) const;
-
   private:
-    void shardWorkerLoop(std::uint32_t w);
-
-    /** Per-worker telemetry, written only by the coordinator. */
-    struct ShardWorkerStats
-    {
-        std::uint64_t accesses = 0;
-        std::uint64_t enqueueStalls = 0;
-        Histogram queueDepth;
-    };
-
     std::vector<std::unique_ptr<Cache>> banks_;
     H3Hash hash_;
 
     // Digest plumbing: the external digest plus one stream per bank.
     AccessDigest *extDigest_ = nullptr;
     std::vector<AccessDigest> bankDigests_;
-
-    // Shard runtime state (empty while serial).
-    std::uint32_t shardWorkers_ = 0;
-    std::uint64_t shardWbFolded_ = 0;
-    std::unique_ptr<ThreadPool> shardPool_;
-    std::vector<std::unique_ptr<SpscRing<ShardRequest>>> shardReq_;
-    std::vector<std::unique_ptr<SpscRing<ShardResult>>> shardRes_;
-    std::vector<std::future<void>> shardJoin_;
-    std::vector<std::unique_ptr<ShardWorkerStats>> shardStats_;
 };
 
 } // namespace vantage

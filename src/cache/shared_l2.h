@@ -28,8 +28,6 @@
 
 namespace vantage {
 
-class BankedCache;
-
 /** The shared-cache surface the CMP simulator drives. */
 class SharedL2
 {
@@ -111,9 +109,6 @@ class SharedL2
 
     /** The flat cache when this L2 is one, else nullptr. */
     virtual Cache *monoCache() { return nullptr; }
-
-    /** The banked cache when this L2 is one, else nullptr. */
-    virtual BankedCache *banked() { return nullptr; }
 };
 
 /** A flat Cache behind the SharedL2 interface. */

@@ -17,12 +17,10 @@
  *      jobs inline on the calling thread (zero) or on a single
  *      worker (one); parallelFor() is then plain serial execution.
  *
- * Parallelism is normally across simulations — each CmpSim's main
- * loop stays single-threaded, like the hardware it models. The one
- * exception is the sharded-execution runtime (cache/banked_cache.h,
- * DESIGN.md §12): BankedCache::shardStart() parks one long-running
- * submit() per bank worker on a private pool, with the same
- * bit-identical-at-any-worker-count contract.
+ * Parallelism is across simulations only: each CmpSim's main loop
+ * stays single-threaded, banked L2s included. Running one
+ * simulation's banks on worker threads was tried and removed: it ran
+ * slower than serial at every worker count (DESIGN.md §12).
  */
 
 #ifndef VANTAGE_COMMON_THREAD_POOL_H_

@@ -7,7 +7,6 @@
 #include "common/bits.h"
 #include "common/log.h"
 #include "simd/simd.h"
-#include "stats/prof.h"
 #include "stats/registry.h"
 
 namespace vantage {
@@ -466,7 +465,6 @@ VantageController::selectVictim(CacheArray &array, PartId inserting,
 {
     (void)inserting;
     (void)addr;
-    VANTAGE_PROF("vantage.select_victim");
     VANTAGE_TRACE_SPAN(kTraceVantage, "vantage.select_victim");
 
     std::int32_t first_invalid = -1;

@@ -97,13 +97,9 @@ cliUsage()
            "  --banks N            split the L2 into N banks, each\n"
            "                       with its own controller (paper\n"
            "                       Table 2; N must divide the line\n"
-           "                       count; default: flat cache)\n"
-           "  --shard-workers N    run the banks of a single\n"
-           "                       simulation on N worker threads\n"
-           "                       (requires --banks, N <= banks;\n"
-           "                       0 = serial, the default; results\n"
-           "                       and digests are identical for\n"
-           "                       every value)\n"
+           "                       count; default: flat cache;\n"
+           "                       not with --serve / --replay /\n"
+           "                       --lifecycle)\n"
            "  --no-ucp             static equal allocations\n"
            "  --repartition N      UCP interval in cycles\n"
            "\n"
@@ -319,14 +315,6 @@ parseCli(const std::vector<std::string> &args, std::string &error)
                 return opts;
             }
             opts.banks = static_cast<std::uint32_t>(banks);
-        } else if (arg == "--shard-workers") {
-            std::uint64_t workers = 0;
-            if (!next(value) || !parseU64(value, workers) ||
-                workers > 256) {
-                error = "bad --shard-workers value (0-256)";
-                return opts;
-            }
-            opts.shardWorkers = static_cast<std::uint32_t>(workers);
         } else if (arg == "--unmanaged") {
             if (!next(value) ||
                 !parseF(value, opts.l2.vantage.unmanagedFraction)) {
@@ -547,17 +535,8 @@ parseCli(const std::vector<std::string> &args, std::string &error)
     if (opts.l2.lines == 0) {
         opts.l2.lines = opts.machine.l2Lines();
     }
-    // Sharding only exists for banked caches, and a worker with no
-    // bank (or a bank split that does not divide the lines) is a
-    // configuration error, not an assert.
-    if (opts.shardWorkers > 0 && opts.banks == 0) {
-        error = "--shard-workers requires --banks";
-        return opts;
-    }
-    if (opts.banks > 0 && opts.shardWorkers > opts.banks) {
-        error = "--shard-workers must not exceed --banks";
-        return opts;
-    }
+    // A bank split that does not divide the lines is a configuration
+    // error, not an assert.
     if (opts.banks > 0 && opts.l2.lines % opts.banks != 0) {
         error = "--banks must divide the L2 line count";
         return opts;
@@ -569,6 +548,13 @@ parseCli(const std::vector<std::string> &args, std::string &error)
                       (opts.lifecycleAccesses > 0 ? 1 : 0);
     if (modes > 1) {
         error = "choose one of --serve / --replay / --lifecycle";
+        return opts;
+    }
+    // The tenant simulator behind these modes always builds a flat
+    // L2; refuse --banks rather than silently ignore it.
+    if (modes > 0 && opts.banks > 0) {
+        error = "--banks does not apply to --serve / --replay / "
+                "--lifecycle (they simulate a flat L2)";
         return opts;
     }
     if (!opts.serveJournal.empty() && opts.servePort < 0 &&

@@ -8,7 +8,7 @@
  *   vsim [--cores N] [--scheme NAME] [--array NAME]
  *        [--mix CLASS[:SEED] | --apps a,b,c | --traces f1,f2,...]
  *        [--instrs N] [--warmup N] [--l2-lines N]
- *        [--banks N] [--shard-workers N]
+ *        [--banks N]
  *        [--unmanaged F] [--amax F] [--slack F]
  *        [--no-ucp] [--repartition N] [--seed N] [--jobs N]
  *        [--stats-out FILE] [--trace-out FILE] [--stats-period N]
@@ -48,16 +48,10 @@ struct CliOptions
 
     /**
      * Bank count for a banked L2 (0 = flat cache). Must divide the
-     * L2 line count.
+     * L2 line count; workload runs only (serve, replay and lifecycle
+     * always simulate a flat L2).
      */
     std::uint32_t banks = 0;
-
-    /**
-     * Bank-worker threads for a single sharded simulation (0 =
-     * serial, the default). Requires --banks and must not exceed it;
-     * results and digests are bit-identical for every value.
-     */
-    std::uint32_t shardWorkers = 0;
 
     /** Exactly one of these selects the workload. */
     std::optional<std::pair<std::uint32_t, std::uint32_t>> mix;

@@ -22,7 +22,7 @@ namespace vantage {
 CmpSim::CmpSim(const CmpConfig &cfg, std::vector<AppSpec> apps,
                std::unique_ptr<Cache> l2, std::uint64_t seed)
     : CmpSim(cfg, std::move(apps),
-             std::make_unique<MonoL2>(std::move(l2)), seed, 0)
+             std::make_unique<MonoL2>(std::move(l2)), seed)
 {
 }
 
@@ -30,13 +30,12 @@ CmpSim::CmpSim(const CmpConfig &cfg,
                std::vector<std::unique_ptr<AccessStream>> streams,
                std::unique_ptr<Cache> l2)
     : CmpSim(cfg, std::move(streams),
-             std::make_unique<MonoL2>(std::move(l2)), 0)
+             std::make_unique<MonoL2>(std::move(l2)))
 {
 }
 
 CmpSim::CmpSim(const CmpConfig &cfg, std::vector<AppSpec> apps,
-               std::unique_ptr<SharedL2> l2, std::uint64_t seed,
-               std::uint32_t shardWorkers)
+               std::unique_ptr<SharedL2> l2, std::uint64_t seed)
     : cfg_(cfg), l2_(std::move(l2)),
       nextRepartition_(cfg.repartitionCycles)
 {
@@ -46,13 +45,12 @@ CmpSim::CmpSim(const CmpConfig &cfg, std::vector<AppSpec> apps,
         apps_.push_back(std::make_unique<AppModel>(
             std::move(apps[c]), c, seed * 7919 + c));
     }
-    buildCaches(shardWorkers);
+    buildCaches();
 }
 
 CmpSim::CmpSim(const CmpConfig &cfg,
                std::vector<std::unique_ptr<AccessStream>> streams,
-               std::unique_ptr<SharedL2> l2,
-               std::uint32_t shardWorkers)
+               std::unique_ptr<SharedL2> l2)
     : cfg_(cfg), apps_(std::move(streams)), l2_(std::move(l2)),
       nextRepartition_(cfg.repartitionCycles)
 {
@@ -62,11 +60,11 @@ CmpSim::CmpSim(const CmpConfig &cfg,
     for (const auto &stream : apps_) {
         vantage_assert(stream != nullptr, "null access stream");
     }
-    buildCaches(shardWorkers);
+    buildCaches();
 }
 
 void
-CmpSim::buildCaches(std::uint32_t shardWorkers)
+CmpSim::buildCaches()
 {
     vantage_assert(l2_ != nullptr, "need a shared L2");
     vantage_assert(l2_->numPartitions() == cfg_.numCores,
@@ -84,18 +82,6 @@ CmpSim::buildCaches(std::uint32_t shardWorkers)
     clockHeap_.reset(cfg_.numCores);
     if (cfg_.useUcp) {
         ucp_ = std::make_unique<Ucp>(cfg_.numCores, cfg_.ucp);
-    }
-    if (shardWorkers > 0) {
-        shardL2_ = l2_->banked();
-        vantage_assert(shardL2_ != nullptr,
-                       "shard workers need a banked L2");
-        // One in-flight access per core bounds every ring, so the
-        // coordinator's blocking pushes can never deadlock.
-        const std::size_t cap =
-            std::max<std::size_t>(8, cfg_.numCores);
-        shardL2_->shardStart(shardWorkers, cap);
-        corePending_.assign(cfg_.numCores, 0);
-        snapshotOnResolve_.assign(cfg_.numCores, 0);
     }
 }
 
@@ -167,110 +153,6 @@ CmpSim::step(std::uint32_t core)
 }
 
 void
-CmpSim::stepSharded(std::uint32_t core)
-{
-    CoreState &cs = cores_[core];
-    AccessStream &app = *apps_[core];
-
-    // Front end: identical to step().
-    const double gap_f = app.instrPerMem() + cs.instrCarry;
-    const auto gap = static_cast<std::uint64_t>(gap_f);
-    cs.instrCarry = gap_f - static_cast<double>(gap);
-    cs.cycle += gap;
-    cs.instructions += gap + 1;
-
-    const MemRef ref = app.next();
-    if (l1s_[core]->access(ref.addr, 0, ref.type) ==
-        AccessResult::Hit) {
-        cs.cycle += cfg_.l1HitLatency;
-        clockHeap_.update(core, cs.cycle);
-        return;
-    }
-
-    ++cs.l2Accesses;
-    if (ucp_) {
-        ucp_->observe(core, ref.addr);
-    }
-    // Ship the L2 access to its bank worker. A full ring can only
-    // mean older accesses are in flight, so resolving the oldest is
-    // both safe and guaranteed to make space eventually.
-    std::uint32_t worker = 0;
-    while (!shardL2_->shardTryEnqueue(ref.addr, core, ref.type,
-                                      worker)) {
-        resolveOldest();
-    }
-    corePending_[core] = 1;
-    pendingFifo_.push_back(PendingAccess{core, worker, cs.cycle});
-    // Conservative scheduling key: every L2 outcome costs at least
-    // the L2 hit latency, and any pending core whose true finish
-    // time could precede (or tie-and-win against) another core's is
-    // forced to resolve before that core issues — so issue order
-    // equals the serial step order.
-    clockHeap_.update(core, cs.cycle + cfg_.l2HitLatency);
-}
-
-void
-CmpSim::resolveOldest()
-{
-    vantage_assert(!pendingFifo_.empty(),
-                   "resolve with nothing in flight");
-    const PendingAccess pa = pendingFifo_.front();
-    pendingFifo_.pop_front();
-    const ShardResult r = shardL2_->shardPopResult(pa.worker);
-    // FIFO = issue = serial order, so the writeback accumulator and
-    // the memory-bus state below see the exact serial sequence.
-    shardL2_->shardNoteWb(r.wbDelta);
-
-    CoreState &cs = cores_[pa.core];
-    if (r.result == AccessResult::Hit) {
-        cs.cycle = pa.issueCycle + cfg_.l2HitLatency;
-    } else {
-        ++cs.l2Misses;
-        const std::uint64_t wbs = shardL2_->shardWbFolded();
-        Cycle service = static_cast<Cycle>(cfg_.memCyclesPerLine);
-        if (wbs != l2WritebacksSeen_) {
-            service += static_cast<Cycle>(cfg_.memCyclesPerLine) *
-                       (wbs - l2WritebacksSeen_);
-            l2WritebacksSeen_ = wbs;
-        }
-        const Cycle start = std::max(pa.issueCycle, memFree_);
-        memFree_ = start + service;
-        cs.cycle = start + cfg_.memLatency;
-    }
-    corePending_[pa.core] = 0;
-    clockHeap_.update(pa.core, cs.cycle);
-    if (snapshotOnResolve_[pa.core]) {
-        snapshotOnResolve_[pa.core] = 0;
-        fillSnapshot(cs);
-    }
-}
-
-void
-CmpSim::quiesce()
-{
-    while (!pendingFifo_.empty()) {
-        resolveOldest();
-    }
-}
-
-void
-CmpSim::barrierQuiesce()
-{
-    ++shardBarriers_;
-    if (pendingFifo_.empty()) {
-        barrierWait_.add(0);
-        return;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    quiesce();
-    const auto us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    barrierWait_.add(static_cast<std::uint64_t>(us));
-}
-
-void
 CmpSim::fillSnapshot(CoreState &cs)
 {
     cs.snapshot.instructions =
@@ -295,14 +177,6 @@ CmpSim::maybeRepartition()
             ucp_->nextInterval();
             nextRepartition_ += cfg_.repartitionCycles;
             continue;
-        }
-        // Epoch barrier: setAllocations mutates bank state, so
-        // every in-flight access must land first. Serial order is
-        // preserved — all accesses issued before this point resolve
-        // before the new allocations apply, exactly as in a serial
-        // run.
-        if (shardL2_ != nullptr) {
-            barrierQuiesce();
         }
         // Way-granular schemes need at least one way per partition;
         // fine-grain quanta can go down to a single unit.
@@ -343,10 +217,6 @@ CmpSim::markStart()
 void
 CmpSim::warmup(std::uint64_t accesses)
 {
-    if (shardL2_ != nullptr) {
-        warmupSharded(accesses);
-        return;
-    }
     std::vector<std::uint64_t> issued(cfg_.numCores, 0);
     std::uint32_t remaining = cfg_.numCores;
     while (remaining > 0) {
@@ -361,39 +231,8 @@ CmpSim::warmup(std::uint64_t accesses)
 }
 
 void
-CmpSim::warmupSharded(std::uint64_t accesses)
-{
-    std::vector<std::uint64_t> issued(cfg_.numCores, 0);
-    std::uint32_t remaining = cfg_.numCores;
-    while (remaining > 0) {
-        const std::uint32_t core = nextCore();
-        if (corePending_[core]) {
-            // The trailing core's true clock is unknown; resolving
-            // the oldest in-flight access either settles it or
-            // tightens the schedule.
-            resolveOldest();
-            continue;
-        }
-        // The top core's key is its exact clock here, so this check
-        // is bit-equivalent to the serial post-step check.
-        maybeRepartition();
-        stepSharded(core);
-        heartbeatTick("warmup");
-        if (issued[core] < accesses && ++issued[core] == accesses) {
-            --remaining;
-        }
-    }
-    quiesce();
-    maybeRepartition(); // The serial loop's final post-step check.
-}
-
-void
 CmpSim::run(std::uint64_t instructions)
 {
-    if (shardL2_ != nullptr) {
-        runSharded(instructions);
-        return;
-    }
     markStart();
     std::uint32_t remaining = cfg_.numCores;
     while (remaining > 0) {
@@ -409,38 +248,6 @@ CmpSim::run(std::uint64_t instructions)
             --remaining;
         }
     }
-}
-
-void
-CmpSim::runSharded(std::uint64_t instructions)
-{
-    markStart();
-    std::uint32_t remaining = cfg_.numCores;
-    while (remaining > 0) {
-        const std::uint32_t core = nextCore();
-        if (corePending_[core]) {
-            resolveOldest();
-            continue;
-        }
-        maybeRepartition();
-        stepSharded(core);
-        heartbeatTick("run");
-        CoreState &cs = cores_[core];
-        if (!cs.done &&
-            cs.instructions - cs.startInstructions >= instructions) {
-            cs.done = true;
-            if (corePending_[core]) {
-                // The finishing access is in flight; snapshot when
-                // its outcome (cycle, miss count) lands.
-                snapshotOnResolve_[core] = 1;
-            } else {
-                fillSnapshot(cs);
-            }
-            --remaining;
-        }
-    }
-    quiesce();
-    maybeRepartition();
 }
 
 void
@@ -477,22 +284,10 @@ CmpSim::registerLiveStats(StatsRegistry &reg) const
         ucp_->registerIntrospection(reg, "umon");
         reg.addHistogram("sim.realloc_gap", &reallocGap_);
     }
-    registerShardStats(reg);
 
     reg.addGauge("sim.cycle",
                  [this] { return static_cast<double>(now()); });
     reg.addCounter("sim.heartbeats", &heartbeatSeq_);
-}
-
-void
-CmpSim::registerShardStats(StatsRegistry &reg) const
-{
-    if (shardL2_ == nullptr) {
-        return;
-    }
-    shardL2_->registerShardStats(reg, "shard");
-    reg.addHistogram("shard.barrier_wait_us", &barrierWait_);
-    reg.addCounter("shard.barriers", &shardBarriers_);
 }
 
 namespace {

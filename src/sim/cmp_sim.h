@@ -12,28 +12,21 @@
  * exactly as a cycle-by-cycle interleaving would at this modeling
  * fidelity, while running millions of accesses per second.
  *
- * Sharded mode (`shardWorkers > 0`, banked L2s only) splits each
- * shared-L2 access into an issue half (core front-end, on the
- * coordinator) and a resolve half (timing application, when the bank
- * worker's result arrives). A pending core is scheduled by the lower
- * bound issueCycle + l2HitLatency; since every L2 outcome costs at
- * least that, the conservative key reproduces the serial step order
- * exactly, and outcomes are applied in issue (FIFO) order, so the
- * result — including the outcome digest — is bit-identical to the
- * serial run at any worker count. See DESIGN.md §12.
+ * The shared L2 is a SharedL2: a flat cache or a BankedCache (paper
+ * Table 2's per-bank controllers). Either way one thread steps every
+ * core, so flat and banked runs share a single execution path;
+ * banking only changes where an access lands.
  */
 
 #ifndef VANTAGE_SIM_CMP_SIM_H_
 #define VANTAGE_SIM_CMP_SIM_H_
 
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cache/banked_cache.h"
 #include "cache/shared_l2.h"
 #include "sim/cmp_config.h"
 #include "sim/core_heap.h"
@@ -97,18 +90,14 @@ class CmpSim
 
     /**
      * Organization-agnostic construction: any SharedL2 (flat or
-     * banked). `shardWorkers > 0` runs the banked L2's banks on that
-     * many worker threads (requires l2->banked(), shardWorkers <=
-     * bank count); 0 keeps the serial path.
+     * banked).
      */
     CmpSim(const CmpConfig &cfg, std::vector<AppSpec> apps,
-           std::unique_ptr<SharedL2> l2, std::uint64_t seed = 1,
-           std::uint32_t shardWorkers = 0);
+           std::unique_ptr<SharedL2> l2, std::uint64_t seed = 1);
 
     CmpSim(const CmpConfig &cfg,
            std::vector<std::unique_ptr<AccessStream>> streams,
-           std::unique_ptr<SharedL2> l2,
-           std::uint32_t shardWorkers = 0);
+           std::unique_ptr<SharedL2> l2);
 
     /**
      * Run until every core has issued `accesses` memory accesses,
@@ -148,9 +137,6 @@ class CmpSim
     SharedL2 &sharedL2() { return *l2_; }
     const SharedL2 &sharedL2() const { return *l2_; }
 
-    /** Whether bank workers execute the shared L2. */
-    bool sharded() const { return shardL2_ != nullptr; }
-
     Ucp *ucp() { return ucp_.get(); }
 
     /** Current global cycle (max over cores). */
@@ -182,9 +168,8 @@ class CmpSim
      * under "cache", the partitioning scheme's introspection subtree
      * under "vantage" (Vantage controllers) or "scheme" (others;
      * banked L2s add a .bankB segment), UCP's monitors under "umon",
-     * simulator-level gauges under "sim", and — in sharded mode —
-     * the shard runtime's telemetry under "shard". The registry must
-     * be fully built before any sampler thread reads it and must not
+     * and simulator-level gauges under "sim". The registry must be
+     * fully built before any sampler thread reads it and must not
      * outlive this simulator.
      */
     void registerLiveStats(StatsRegistry &reg) const;
@@ -202,19 +187,12 @@ class CmpSim
 
     /**
      * Attach a decision audit ring to the shared L2's scheme. Flat
-     * (mono) L2s only: banked caches run their schemes on worker
-     * threads under --shard-workers, where the single-writer ring
-     * would race; attaching to a banked L2 is a no-op.
+     * (mono) L2s only: a banked L2 runs one scheme per bank, and a
+     * record carries no bank, so every decision would land once per
+     * bank with that bank's sizes. Attaching to a banked L2 warns and
+     * is a no-op.
      */
     void attachAudit(DecisionAudit *audit);
-
-    /**
-     * Shard-runtime telemetry under "shard": per-worker routed
-     * accesses, enqueue stalls and queue-depth histograms, plus the
-     * epoch-barrier count and wait-time histogram (µs). No-op when
-     * not sharded.
-     */
-    void registerShardStats(StatsRegistry &reg) const;
 
     /**
      * Distribution of shared-L2 accesses between UCP reallocations
@@ -248,36 +226,8 @@ class CmpSim
         std::uint64_t startL2Misses = 0;
     };
 
-    /** One in-flight shared-L2 access (sharded mode). */
-    struct PendingAccess
-    {
-        std::uint32_t core = 0;
-        std::uint32_t worker = 0;
-        Cycle issueCycle = 0; ///< Core clock when the access issued.
-    };
-
     /** Advance the lowest-timestamp core by one memory access. */
     void step(std::uint32_t core);
-
-    /**
-     * Sharded issue half of step(): front-end + L1; an L1 miss is
-     * enqueued to its bank worker and the core parked on the
-     * conservative lower bound issueCycle + l2HitLatency.
-     */
-    void stepSharded(std::uint32_t core);
-
-    /**
-     * Apply the oldest in-flight access's outcome (FIFO — the issue
-     * order, which is the serial order, so memory-bus and writeback
-     * state evolve exactly as in a serial run).
-     */
-    void resolveOldest();
-
-    /** Resolve every in-flight access (epoch barrier). */
-    void quiesce();
-
-    /** quiesce() + barrier telemetry (wait time, count). */
-    void barrierQuiesce();
 
     void fillSnapshot(CoreState &cs);
 
@@ -290,10 +240,7 @@ class CmpSim
     void maybeRepartition();
     void markStart();
 
-    void buildCaches(std::uint32_t shardWorkers);
-
-    void warmupSharded(std::uint64_t accesses);
-    void runSharded(std::uint64_t instructions);
+    void buildCaches();
 
     /** One heartbeat line; `phase` is "warmup" or "run". */
     void emitHeartbeat(const char *phase);
@@ -320,12 +267,6 @@ class CmpSim
         if (heartbeatEvery_ != 0 &&
             ++heartbeatTick_ >= heartbeatEvery_) {
             heartbeatTick_ = 0;
-            if (shardL2_ != nullptr) {
-                // The record reads shared state the workers own
-                // mid-flight; settle them first. Observational:
-                // resolution timing never changes outcomes.
-                quiesce();
-            }
             emitHeartbeat(phase);
         }
     }
@@ -341,16 +282,6 @@ class CmpSim
     Cycle memFree_ = 0;
     std::uint64_t l2WritebacksSeen_ = 0;
     Cycle nextRepartition_;
-
-    // Sharded-mode state. shardL2_ is the banked view of l2_ when
-    // workers run, else nullptr; the FIFO holds in-flight accesses
-    // in issue order.
-    BankedCache *shardL2_ = nullptr;
-    std::deque<PendingAccess> pendingFifo_;
-    std::vector<std::uint8_t> corePending_;
-    std::vector<std::uint8_t> snapshotOnResolve_;
-    Histogram barrierWait_; ///< Epoch-barrier wait, microseconds.
-    std::uint64_t shardBarriers_ = 0;
 
     // Accesses between reallocations (telemetry; cold path).
     Histogram reallocGap_;

@@ -22,7 +22,6 @@
 #include "serve/server.h"
 #include "serve/tenant_sim.h"
 #include "sim/cli.h"
-#include "stats/prof.h"
 #include "stats/registry.h"
 #include "stats/table.h"
 #include "stats/trace.h"
@@ -79,13 +78,11 @@ buildRegistry(StatsRegistry &reg, const CliOptions &opts,
                      [&sim, c] { return sim.result(c).mpki(); });
     }
     sim.sharedL2().registerStats(reg, "cache.l2");
-    sim.registerShardStats(reg);
     reg.addHistogram("sim.realloc_gap_accesses",
                      &sim.reallocGapHistogram());
     if (TraceSession::instance().enabledAny()) {
         TraceSession::instance().registerStats(reg, "trace");
     }
-    profExport(reg);
 }
 
 /**
@@ -361,8 +358,7 @@ main(int argc, char **argv)
     }
 
     // Build the per-core workload. The shared L2 is flat by default
-    // or banked under --banks; --shard-workers runs the banks on
-    // worker threads (results are identical either way).
+    // or banked under --banks.
     auto build_shared_l2 = [&opts]() -> std::unique_ptr<SharedL2> {
         if (opts.banks > 0) {
             return buildBankedL2(opts.l2, opts.banks);
@@ -380,8 +376,7 @@ main(int argc, char **argv)
         }
         sim = std::make_unique<CmpSim>(opts.machine,
                                        std::move(streams),
-                                       build_shared_l2(),
-                                       opts.shardWorkers);
+                                       build_shared_l2());
     } else {
         std::vector<AppSpec> apps;
         if (opts.mix) {
@@ -397,8 +392,7 @@ main(int argc, char **argv)
             core_names.push_back(app.name);
         }
         sim = std::make_unique<CmpSim>(opts.machine, apps,
-                                       build_shared_l2(), opts.seed,
-                                       opts.shardWorkers);
+                                       build_shared_l2(), opts.seed);
     }
 
     std::fprintf(stderr,
@@ -414,13 +408,10 @@ main(int argc, char **argv)
                  simd::levelName(),
                  hugePagesEnabled() ? "on" : "off");
     if (opts.banks > 0) {
-        std::fprintf(stderr,
-                     "vsim: %u banks of %llu lines, %u shard "
-                     "worker(s)\n",
+        std::fprintf(stderr, "vsim: %u banks of %llu lines\n",
                      opts.banks,
                      static_cast<unsigned long long>(opts.l2.lines /
-                                                     opts.banks),
-                     opts.shardWorkers);
+                                                     opts.banks));
     }
 
     // Controller trace (--trace-out): samples the measured phase.
@@ -538,7 +529,6 @@ main(int argc, char **argv)
             sim->warmup(opts.scale.warmupAccesses);
         });
         sim->sharedL2().resetStats();
-        profResetAll();
         if (!opts.traceOut.empty()) {
             vctl->attachTrace(&trace);
         }

@@ -12,7 +12,7 @@
  * `trace_event` JSON document (load it at https://ui.perfetto.dev or
  * chrome://tracing) with pid/tid metadata and per-category filtering.
  *
- * Two gating levels, mirroring VANTAGE_PROF:
+ * Two gating levels:
  *
  *  - Hot-path sites (cache access spans, Vantage demotion/promotion
  *    instants, zcache walk depth) use the VANTAGE_TRACE_* macros,

@@ -56,15 +56,6 @@ expect_error("non-numeric banks" "bad --banks value" --banks lots)
 expect_error("banks out of range" "bad --banks value" --banks 2000)
 expect_error("banks do not divide lines"
     "--banks must divide the L2 line count" --banks 7)
-expect_error("non-numeric shard workers" "bad --shard-workers value"
-    --shard-workers nope)
-expect_error("shard workers out of range" "bad --shard-workers value"
-    --shard-workers 300)
-expect_error("shard workers without banks"
-    "--shard-workers requires --banks" --shard-workers 2)
-expect_error("more shard workers than banks"
-    "--shard-workers must not exceed --banks"
-    --banks 4 --shard-workers 8)
 
 expect_error("bad serve port" "bad --serve port" --serve 99999)
 expect_error("non-numeric serve port" "bad --serve port" --serve http)
@@ -75,6 +66,14 @@ expect_error("lifecycle plus replay"
     "choose one of --serve / --replay / --lifecycle"
     --lifecycle 1000 --replay /tmp/nope.journal)
 expect_error("zero lifecycle" "bad --lifecycle value" --lifecycle 0)
+# The tenant modes simulate a flat L2: --banks is refused, not
+# silently ignored.
+expect_error("banks with lifecycle" "--banks does not apply"
+    --lifecycle 20000 --banks 8)
+expect_error("banks with serve" "--banks does not apply"
+    --serve 0 --banks 8)
+expect_error("banks with replay" "--banks does not apply"
+    --replay /tmp/nope.journal --banks 8)
 expect_error("journal without mode"
     "--serve-journal requires --serve or --lifecycle"
     --serve-journal /tmp/nope.journal)

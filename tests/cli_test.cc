@@ -285,21 +285,10 @@ TEST(Cli, DigestFlag)
               std::string::npos);
 }
 
-TEST(Cli, BanksAndShardWorkers)
+TEST(Cli, Banks)
 {
-    const CliOptions defaults = parseOk({});
-    EXPECT_EQ(defaults.banks, 0u);
-    EXPECT_EQ(defaults.shardWorkers, 0u);
-
-    const CliOptions opts =
-        parseOk({"--banks", "8", "--shard-workers", "3"});
-    EXPECT_EQ(opts.banks, 8u);
-    EXPECT_EQ(opts.shardWorkers, 3u);
-
-    // --shard-workers 0 with banks is the serial banked mode.
-    EXPECT_EQ(parseOk({"--banks", "4", "--shard-workers", "0"})
-                  .shardWorkers,
-              0u);
+    EXPECT_EQ(parseOk({}).banks, 0u);
+    EXPECT_EQ(parseOk({"--banks", "8"}).banks, 8u);
     // Inline value form.
     EXPECT_EQ(parseOk({"--banks=16"}).banks, 16u);
 }
@@ -317,20 +306,21 @@ TEST(Cli, BanksValidation)
               std::string::npos);
 }
 
-TEST(Cli, ShardWorkersValidation)
+TEST(Cli, BanksRejectedByTenantModes)
 {
-    EXPECT_NE(parseErr({"--shard-workers", "nope"})
-                  .find("--shard-workers"),
-              std::string::npos);
-    EXPECT_NE(parseErr({"--shard-workers", "300"})
-                  .find("--shard-workers"),
-              std::string::npos);
-    // Workers without banks, or exceeding banks, are config errors.
-    EXPECT_NE(parseErr({"--shard-workers", "2"}).find("requires"),
-              std::string::npos);
-    EXPECT_NE(parseErr({"--banks", "4", "--shard-workers", "8"})
-                  .find("exceed"),
-              std::string::npos);
+    // Serve, replay and lifecycle simulate a flat L2; --banks must be
+    // refused there, not silently ignored.
+    using Args = std::vector<std::string>;
+    for (const Args &mode : {Args{"--serve", "0"},
+                             Args{"--replay", "/tmp/none.journal"},
+                             Args{"--lifecycle", "20000"}}) {
+        Args args = mode;
+        args.insert(args.end(), {"--banks", "8"});
+        EXPECT_NE(parseErr(args).find("--banks does not apply"),
+                  std::string::npos)
+            << mode[0];
+        EXPECT_EQ(parseOk(mode).banks, 0u) << mode[0];
+    }
 }
 
 } // namespace

@@ -19,8 +19,7 @@
  * global state — so a failure printed by CI reproduces anywhere.
  *
  * Usage: fuzz_driver [--iters N] [--seed S] [--accesses N]
- *                    [--check-every N] [--banks N]
- *                    [--shard-workers N] [--lifecycle]
+ *                    [--check-every N] [--banks N] [--lifecycle]
  *                    [--no-realloc] [--simd-compare] [--verbose]
  *
  * --lifecycle interleaves seeded partition create/destroy events
@@ -37,12 +36,6 @@
  * the rng sequences: `--seed S` replays the same addresses with and
  * without banking.
  *
- * --shard-workers N (requires --banks, N <= banks) replays each
- * banked case twice: once serially and once through the sharded
- * bank-worker runtime, with invariant checks and reallocations
- * landing at the same stream positions (quiescing in-flight accesses
- * first). The two replays must produce identical access digests.
- *
  * --simd-compare replays each case once per available SIMD dispatch
  * level (scalar first, then every vector backend the host supports),
  * forcing the level between replays. Every vectorized kernel is
@@ -57,7 +50,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,7 +75,6 @@ struct FuzzCase
     std::uint64_t reallocEvery = 0;  ///< 0 = never repartition.
     std::uint64_t seed = 0;
     std::uint32_t banks = 0;         ///< 0 = flat cache (CLI-forced).
-    std::uint32_t shardWorkers = 0;  ///< 0 = serial replay.
     bool lifecycle = false;          ///< CLI-forced, like banks.
     std::uint64_t lifecycleEvery = 0; ///< Accesses between events.
 
@@ -111,11 +102,6 @@ struct FuzzCase
         }
         if (banks > 0) {
             std::snprintf(buf, sizeof(buf), " banks=%u", banks);
-            out += buf;
-        }
-        if (shardWorkers > 0) {
-            std::snprintf(buf, sizeof(buf), " shard-workers=%u",
-                          shardWorkers);
             out += buf;
         }
         return out;
@@ -278,35 +264,13 @@ runCase(const FuzzCase &fc, std::uint64_t check_every,
         return 0;
     };
 
-    // --shard-workers: route accesses through the bank-worker
-    // runtime, keeping a bounded in-flight window popped in issue
-    // order. Checks and reallocations quiesce the window first so
-    // they observe the same stream positions the serial replay does.
-    const bool sharded = banked && fc.shardWorkers > 0;
-    std::deque<std::uint32_t> inflight;
-    const auto quiesce = [&] {
-        while (!inflight.empty()) {
-            banked->shardPopResult(inflight.front());
-            inflight.pop_front();
-        }
-    };
-    if (sharded) {
-        banked->shardStart(fc.shardWorkers, 64);
-    }
     const auto finish = [&] {
-        if (sharded) {
-            quiesce();
-            banked->shardStop();
-        }
         if (digest != nullptr && banked) {
             banked->finalizeDigest();
         }
     };
 
     const auto check = [&](InvariantReport &r) {
-        if (sharded) {
-            quiesce();
-        }
         r.clear();
         if (banked) {
             banked->checkInvariants(r);
@@ -328,18 +292,7 @@ runCase(const FuzzCase &fc, std::uint64_t check_every,
         }
         const AccessType type = rng.chance(0.3) ? AccessType::Store
                                                 : AccessType::Load;
-        if (sharded) {
-            std::uint32_t w = 0;
-            while (!banked->shardTryEnqueue(addr, part, type, w)) {
-                banked->shardPopResult(inflight.front());
-                inflight.pop_front();
-            }
-            inflight.push_back(w);
-            if (inflight.size() >= 32) {
-                banked->shardPopResult(inflight.front());
-                inflight.pop_front();
-            }
-        } else if (banked) {
+        if (banked) {
             banked->access(addr, part, type);
         } else {
             cache->access(addr, part, type);
@@ -355,9 +308,6 @@ runCase(const FuzzCase &fc, std::uint64_t check_every,
                 rng.range(fc.spec.numPartitions));
             if (allow_lifecycle) {
                 if (action == 0 && active[target] == 0) {
-                    if (sharded) {
-                        quiesce();
-                    }
                     if (banked) {
                         banked->createPartition(target);
                     } else {
@@ -367,9 +317,6 @@ runCase(const FuzzCase &fc, std::uint64_t check_every,
                     ++active_count;
                 } else if (action != 0 && active[target] != 0 &&
                            active_count > 1) {
-                    if (sharded) {
-                        quiesce();
-                    }
                     if (banked) {
                         banked->destroyPartition(target);
                     } else {
@@ -402,9 +349,6 @@ runCase(const FuzzCase &fc, std::uint64_t check_every,
                     }
                 }
                 units[lowest_active()] += freed;
-                if (sharded) {
-                    quiesce();
-                }
                 if (banked) {
                     banked->setAllocations(units);
                 } else {
@@ -508,9 +452,6 @@ reportFailure(FuzzCase fc, std::uint64_t coarse_idx)
     if (fc.banks > 0) {
         std::fprintf(stderr, " --banks %u", fc.banks);
     }
-    if (fc.shardWorkers > 0) {
-        std::fprintf(stderr, " --shard-workers %u", fc.shardWorkers);
-    }
     if (fc.lifecycle) {
         std::fprintf(stderr, " --lifecycle");
     }
@@ -555,7 +496,6 @@ main(int argc, char **argv)
     std::uint64_t accesses = 20'000;
     std::uint64_t check_every = 512;
     std::uint64_t banks = 0;
-    std::uint64_t shard_workers = 0;
     bool allow_realloc = true;
     bool lifecycle = false;
     bool simd_compare = false;
@@ -591,8 +531,6 @@ main(int argc, char **argv)
                              static_cast<unsigned long long>(banks));
                 return 2;
             }
-        } else if (arg == "--shard-workers") {
-            numArg(shard_workers);
         } else if (arg == "--no-realloc") {
             allow_realloc = false;
         } else if (arg == "--lifecycle") {
@@ -606,27 +544,12 @@ main(int argc, char **argv)
                          "fuzz_driver: unknown option '%s'\n"
                          "usage: fuzz_driver [--iters N] [--seed S] "
                          "[--accesses N] [--check-every N] "
-                         "[--banks N] [--shard-workers N] "
-                         "[--lifecycle] [--no-realloc] "
+                         "[--banks N] [--lifecycle] [--no-realloc] "
                          "[--simd-compare] [--verbose]\n",
                          arg.c_str());
             return 2;
         }
     }
-    if (shard_workers > 0 &&
-        (banks == 0 || shard_workers > banks)) {
-        std::fprintf(stderr,
-                     "fuzz_driver: --shard-workers needs --banks >= "
-                     "the worker count\n");
-        return 2;
-    }
-    if (simd_compare && shard_workers > 0) {
-        std::fprintf(stderr,
-                     "fuzz_driver: --simd-compare and --shard-workers "
-                     "are separate comparison modes; pick one\n");
-        return 2;
-    }
-
     // Dispatch levels to sweep in --simd-compare mode: scalar first
     // (the reference), then whatever vector backends this host can
     // actually run.
@@ -712,49 +635,6 @@ main(int argc, char **argv)
                 }
             }
             simd::setLevelForTest(startup_level);
-            continue;
-        }
-        if (shard_workers > 0) {
-            // Sharded mode: replay serially for the reference
-            // digest, then through the worker runtime. Both must
-            // hold the invariants and produce identical digests.
-            AccessDigest serial_digest;
-            const std::int64_t bad_serial =
-                runCase(fc, check_every, allow_realloc, true, rep,
-                        &serial_digest);
-            if (bad_serial >= 0) {
-                return reportFailure(
-                    fc, static_cast<std::uint64_t>(bad_serial));
-            }
-            fc.shardWorkers =
-                static_cast<std::uint32_t>(shard_workers);
-            AccessDigest shard_digest;
-            const std::int64_t bad =
-                runCase(fc, check_every, allow_realloc, true, rep,
-                        &shard_digest);
-            if (bad >= 0) {
-                return reportFailure(fc,
-                                     static_cast<std::uint64_t>(bad));
-            }
-            if (serial_digest.value() != shard_digest.value()) {
-                std::fprintf(
-                    stderr,
-                    "FUZZ FAILURE\n  seed:    %llu\n  config:  %s\n"
-                    "  digest mismatch: serial 0x%016llx != sharded "
-                    "0x%016llx\n"
-                    "reproduce: fuzz_driver --seed %llu --iters 1 "
-                    "--accesses %llu --banks %u --shard-workers %u\n",
-                    static_cast<unsigned long long>(seed),
-                    fc.describe().c_str(),
-                    static_cast<unsigned long long>(
-                        serial_digest.value()),
-                    static_cast<unsigned long long>(
-                        shard_digest.value()),
-                    static_cast<unsigned long long>(seed),
-                    static_cast<unsigned long long>(accesses),
-                    fc.banks, fc.shardWorkers);
-                return 1;
-            }
             continue;
         }
         const std::int64_t bad =

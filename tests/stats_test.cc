@@ -20,7 +20,6 @@
 #include "stats/cdf.h"
 #include "stats/counters.h"
 #include "stats/json.h"
-#include "stats/prof.h"
 #include "stats/registry.h"
 #include "stats/table.h"
 #include "stats/timeseries.h"
@@ -587,34 +586,6 @@ TEST(ControllerTrace, SamplesVantageControllerAtExactCadence)
 
     trace.clear();
     EXPECT_TRUE(trace.empty());
-}
-
-// ---------------------------------------------------------------
-// ProfSite / ProfScope / profExport
-// ---------------------------------------------------------------
-
-TEST(Prof, SiteAccumulatesAndExports)
-{
-    static ProfSite site("test.prof_site");
-    site.reset();
-    {
-        ProfScope scope(site);
-    }
-    site.add(500);
-    EXPECT_EQ(site.calls(), 2u);
-    EXPECT_GE(site.totalNs(), 500u);
-
-    const auto &sites = profSites();
-    EXPECT_NE(std::find(sites.begin(), sites.end(), &site),
-              sites.end());
-
-    StatsRegistry reg;
-    profExport(reg);
-    EXPECT_DOUBLE_EQ(*reg.value("prof.test.prof_site.calls"), 2.0);
-    EXPECT_GE(*reg.value("prof.test.prof_site.total_ns"), 500.0);
-
-    profResetAll();
-    EXPECT_EQ(site.calls(), 0u);
 }
 
 } // namespace
