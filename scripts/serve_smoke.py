@@ -12,7 +12,13 @@ the recorded journal — the serve-session digest and the replay digest
 must be bit-identical even though the recording session ran with QoS
 evaluation on and the replay does not.
 
-Exit status: 0 on full parity, 1 on any protocol or digest failure.
+Then it checks that replay memory does not grow with the journal: a
+2,000,000-access `--lifecycle` journal (about 24 MB) must replay to
+the recording's digest with the replay process peaking below
+REPLAY_RSS_LIMIT_MB.
+
+Exit status: 0 on full parity, 1 on any protocol, digest or memory
+failure.
 """
 
 import argparse
@@ -31,6 +37,11 @@ HELLO, ACCESS_BATCH, STATS, BYE, SHUTDOWN = 1, 2, 3, 4, 5
 OK, ERR, STATS_REPLY = 0x80, 0x81, 0x82
 
 DIGEST_RE = re.compile(r"^digest: (0x[0-9a-f]{16})$", re.M)
+
+# Replay streams the journal through a fixed buffer; a replay that
+# materialized this journal's records would peak near 166 MB.
+REPLAY_ACCESSES = 2_000_000
+REPLAY_RSS_LIMIT_MB = 48
 
 
 def frame(ftype, payload=b""):
@@ -126,6 +137,67 @@ def extract_digest(text, what):
     if not match:
         raise AssertionError(f"no digest in {what} output:\n{text}")
     return match.group(1)
+
+
+def run_measured(argv, timeout):
+    """Run argv to completion; returns (exit code, stdout, peak RSS in
+    MB of that process, from its wait4 rusage).
+
+    The kernel folds the image a child replaced at exec into its
+    ru_maxrss, so the figure is at least this interpreter's own peak
+    (about 20 MB); the limit leaves room for that."""
+    with tempfile.TemporaryFile("w+") as out:
+        proc = subprocess.Popen(argv, stdout=out,
+                                stderr=subprocess.DEVNULL, text=True)
+        deadline = time.monotonic() + timeout
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid != 0:
+                break
+            if time.monotonic() >= deadline:
+                proc.kill()
+                raise AssertionError(f"{argv} ran past {timeout} s")
+            time.sleep(0.05)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        # ru_maxrss is in KiB on Linux.
+        return proc.returncode, out.read(), usage.ru_maxrss / 1024
+
+
+def check_replay_memory(vsim):
+    """Record a long --lifecycle journal, replay it, and require the
+    same digest at a bounded replay peak RSS."""
+    fd, journal = tempfile.mkstemp(suffix=".journal")
+    os.close(fd)
+    try:
+        record = subprocess.run(
+            [vsim, "--scheme", "vantage", "--array", "z4-52",
+             "--lifecycle", str(REPLAY_ACCESSES),
+             "--serve-journal", journal],
+            capture_output=True, text=True, timeout=300)
+        if record.returncode != 0:
+            raise AssertionError(
+                f"lifecycle recording exited {record.returncode}:\n"
+                f"{record.stderr}")
+        recorded = extract_digest(record.stdout, "lifecycle")
+        size_mb = os.path.getsize(journal) / (1 << 20)
+        code, out, rss_mb = run_measured([vsim, "--replay", journal],
+                                         timeout=300)
+        if code != 0:
+            raise AssertionError(f"long replay exited {code}")
+        replayed = extract_digest(out, "long replay")
+        print(f"long replay: {REPLAY_ACCESSES} accesses, "
+              f"{size_mb:.1f} MB journal, peak RSS {rss_mb:.1f} MB, "
+              f"digest {replayed}", flush=True)
+        if replayed != recorded:
+            raise AssertionError(
+                f"long replay digest {replayed} != recorded {recorded}")
+        if rss_mb >= REPLAY_RSS_LIMIT_MB:
+            raise AssertionError(
+                f"replay peaked at {rss_mb:.1f} MB, limit "
+                f"{REPLAY_RSS_LIMIT_MB} MB")
+    finally:
+        os.unlink(journal)
 
 
 def main():
@@ -273,6 +345,9 @@ def main():
         if replayed != served:
             raise AssertionError("serve/replay digest mismatch")
         print("serve-smoke: serve and replay digests identical",
+              flush=True)
+        check_replay_memory(opts.vsim)
+        print("serve-smoke: long replay within its memory bound",
               flush=True)
         return 0
     finally:

@@ -1,5 +1,11 @@
 #include "serve/journal.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "common/log.h"
@@ -95,6 +101,11 @@ decodeHeader(ByteReader &r, JournalHeader &hdr, std::string &error)
         error = "journal header: bad tenant capacity";
         return false;
     }
+    std::string spec_error;
+    if (!validateL2Spec(hdr.spec, spec_error)) {
+        error = "journal header: " + spec_error;
+        return false;
+    }
     return true;
 }
 
@@ -171,74 +182,290 @@ JournalWriter::close()
     }
 }
 
+// ----------------------------------------------------------------------
+// Reading.
+
+namespace {
+
+/**
+ * Decode buffer per range. Every record must fit once the unread tail
+ * slides to the front: the largest is a JOIN with a 65535-byte name.
+ */
+constexpr std::size_t kBufferBytes = 128 * 1024;
+constexpr std::size_t kAccessBytes = 1 + 2 + 1 + 8;
+constexpr std::size_t kLeaveBytes = 1 + 2;
+constexpr std::size_t kJoinBytes = 1 + 2 + 2;
+static_assert(kBufferBytes >= kJoinBytes + 0xffff,
+              "a maximal JOIN record must fit the buffer");
+
+/** The fixed-size header, magic through throttle flag; records follow. */
+constexpr std::size_t kHeaderBytes =
+    4 + 4 + 1 + 1 + 8 + 4 + 8 + 8 + 1 + 3 * 8 + 4 + 4 + 1;
+
+std::uint16_t
+loadU16(const std::uint8_t *p)
+{
+    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+}
+
+std::uint64_t
+loadU64(const std::uint8_t *p)
+{
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) {
+        v = (v << 8) | p[i];
+    }
+    return v;
+}
+
+std::string
+atByte(std::uint64_t offset)
+{
+    return " at byte " + std::to_string(offset);
+}
+
+} // namespace
+
+JournalRecords::JournalRecords(const JournalReader &reader)
+    : reader_(&reader)
+{
+}
+
+std::size_t
+JournalRecords::size() const
+{
+    return reader_->count_;
+}
+
+void
+JournalRecords::rewind()
+{
+    if (!buf_) {
+        buf_.reset(new std::uint8_t[kBufferBytes]);
+    }
+    head_ = 0;
+    tail_ = 0;
+    filePos_ = kHeaderBytes;
+    active_.assign(reader_->header_.maxTenants, 0);
+    decoded_ = 0;
+    done_ = false;
+}
+
+bool
+JournalRecords::fill(std::size_t need, std::string &error)
+{
+    if (tail_ - head_ >= need) {
+        return true;
+    }
+    // Slide the unread tail to the front, then top the buffer up.
+    std::memmove(buf_.get(), buf_.get() + head_, tail_ - head_);
+    tail_ -= head_;
+    head_ = 0;
+    while (tail_ < need && filePos_ < reader_->dataEnd_) {
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kBufferBytes - tail_,
+                                    reader_->dataEnd_ - filePos_));
+        const ssize_t n = ::pread(reader_->fd_, buf_.get() + tail_, want,
+                                  static_cast<off_t>(filePos_));
+        if (n < 0 && errno == EINTR) {
+            continue;
+        }
+        if (n < 0) {
+            error = std::string("read error: ") + std::strerror(errno) +
+                    atByte(filePos_);
+            return false;
+        }
+        if (n == 0) {
+            error = "file ends at byte " + std::to_string(filePos_) +
+                    ", short of the " +
+                    std::to_string(reader_->dataEnd_) + " bytes validated";
+            return false;
+        }
+        tail_ += static_cast<std::size_t>(n);
+        filePos_ += static_cast<std::uint64_t>(n);
+    }
+    return tail_ >= need;
+}
+
+bool
+JournalRecords::next(std::string &error)
+{
+    if (!fill(1, error)) {
+        return false; // End of the records, or a read error.
+    }
+    const std::uint64_t offset = filePos_ - (tail_ - head_);
+    const auto bad = [&error, offset](const std::string &what) {
+        error = what + atByte(offset);
+        return false;
+    };
+    const std::uint8_t type = buf_[head_];
+    JournalRecord &rec = current_;
+    switch (static_cast<JournalEvent>(type)) {
+      case JournalEvent::Access: {
+        if (!fill(kAccessBytes, error)) {
+            return error.empty() ? bad("truncated ACCESS record") : false;
+        }
+        const std::uint8_t *p = buf_.get() + head_;
+        if (p[3] > 1) {
+            return bad("bad ACCESS type " + std::to_string(p[3]));
+        }
+        rec.slot = loadU16(p + 1);
+        rec.type = static_cast<AccessType>(p[3]);
+        rec.addr = loadU64(p + 4);
+        rec.name.clear();
+        head_ += kAccessBytes;
+        break;
+      }
+      case JournalEvent::Leave:
+        if (!fill(kLeaveBytes, error)) {
+            return error.empty() ? bad("truncated LEAVE record") : false;
+        }
+        rec.slot = loadU16(buf_.get() + head_ + 1);
+        rec.type = AccessType::Load;
+        rec.addr = 0;
+        rec.name.clear();
+        head_ += kLeaveBytes;
+        break;
+      case JournalEvent::Join: {
+        if (!fill(kJoinBytes, error)) {
+            return error.empty() ? bad("truncated JOIN record") : false;
+        }
+        const std::size_t len = loadU16(buf_.get() + head_ + 3);
+        if (!fill(kJoinBytes + len, error)) {
+            return error.empty() ? bad("truncated JOIN name") : false;
+        }
+        const std::uint8_t *p = buf_.get() + head_;
+        rec.slot = loadU16(p + 1);
+        rec.type = AccessType::Load;
+        rec.addr = 0;
+        rec.name.assign(reinterpret_cast<const char *>(p + kJoinBytes),
+                        len);
+        head_ += kJoinBytes + len;
+        break;
+      }
+      default:
+        return bad("unknown journal record type " +
+                   std::to_string(type));
+    }
+    rec.event = static_cast<JournalEvent>(type);
+
+    // The tenant lifecycle TenantSim asserts on: a JOIN needs a free
+    // slot, a LEAVE or an ACCESS an occupied one.
+    if (rec.slot >= active_.size()) {
+        return bad("journal record slot " + std::to_string(rec.slot) +
+                   " out of range (" + std::to_string(active_.size()) +
+                   " slots)");
+    }
+    std::uint8_t &active = active_[rec.slot];
+    const char *violation = nullptr;
+    switch (rec.event) {
+      case JournalEvent::Join:
+        violation = active ? "JOIN into occupied" : nullptr;
+        active = 1;
+        break;
+      case JournalEvent::Leave:
+        violation = active ? nullptr : "LEAVE of inactive";
+        active = 0;
+        break;
+      case JournalEvent::Access:
+        violation = active ? nullptr : "ACCESS for inactive";
+        break;
+    }
+    if (violation != nullptr) {
+        return bad(std::string(violation) + " slot " +
+                   std::to_string(rec.slot));
+    }
+    ++decoded_;
+    return true;
+}
+
+JournalRecords::iterator
+JournalRecords::begin()
+{
+    vantage_assert(reader_->fd_ >= 0,
+                   "journal records() before a successful load()");
+    rewind();
+    advance();
+    return iterator(this);
+}
+
+void
+JournalRecords::advance()
+{
+    std::string error;
+    if (next(error)) {
+        return;
+    }
+    done_ = true;
+    if (!error.empty()) {
+        fatal("journal '%s' changed after it was loaded: %s",
+              reader_->path_.c_str(), error.c_str());
+    }
+    if (decoded_ != reader_->count_) {
+        fatal("journal '%s' changed after it was loaded: %llu records "
+              "end at byte %llu, %llu were validated",
+              reader_->path_.c_str(),
+              static_cast<unsigned long long>(decoded_),
+              static_cast<unsigned long long>(reader_->dataEnd_),
+              static_cast<unsigned long long>(reader_->count_));
+    }
+}
+
+JournalReader::~JournalReader()
+{
+    close();
+}
+
+void
+JournalReader::close()
+{
+    if (fd_ >= 0) {
+        ::close(fd_);
+        fd_ = -1;
+    }
+}
+
 bool
 JournalReader::load(const std::string &path, std::string &error)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
+    close();
+    count_ = 0;
+    error.clear();
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd_ < 0) {
         error = "cannot open journal '" + path + "'";
         return false;
     }
-    std::vector<std::uint8_t> bytes;
-    std::uint8_t chunk[64 * 1024];
-    std::size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-        bytes.insert(bytes.end(), chunk, chunk + n);
-    }
-    std::fclose(f);
-
-    ByteReader r(bytes.data(), bytes.size());
-    if (!decodeHeader(r, header_, error)) {
+    path_ = path;
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) {
+        error = "cannot stat journal '" + path + "'";
+        close();
         return false;
     }
-    records_.clear();
-    while (r.remaining() > 0) {
-        std::uint8_t type = 0;
-        r.readU8(type);
-        JournalRecord rec;
-        switch (static_cast<JournalEvent>(type)) {
-          case JournalEvent::Join: {
-            rec.event = JournalEvent::Join;
-            std::uint16_t len = 0;
-            if (!r.readU16(rec.slot) || !r.readU16(len)) {
-                error = "truncated JOIN record";
-                return false;
-            }
-            rec.name.resize(len);
-            if (len > 0 && !r.readBytes(&rec.name[0], len)) {
-                error = "truncated JOIN name";
-                return false;
-            }
-            break;
-          }
-          case JournalEvent::Leave:
-            rec.event = JournalEvent::Leave;
-            if (!r.readU16(rec.slot)) {
-                error = "truncated LEAVE record";
-                return false;
-            }
-            break;
-          case JournalEvent::Access: {
-            rec.event = JournalEvent::Access;
-            std::uint8_t at = 0;
-            if (!r.readU16(rec.slot) || !r.readU8(at) ||
-                !r.readU64(rec.addr) || at > 1) {
-                error = "truncated ACCESS record";
-                return false;
-            }
-            rec.type = static_cast<AccessType>(at);
-            break;
-          }
-          default:
-            error = "unknown journal record type " +
-                    std::to_string(type);
-            return false;
-        }
-        if (rec.slot >= header_.maxTenants) {
-            error = "journal record slot out of range";
-            return false;
-        }
-        records_.push_back(std::move(rec));
+    dataEnd_ = static_cast<std::uint64_t>(st.st_size);
+
+    std::uint8_t head[kHeaderBytes] = {};
+    ssize_t got = 0;
+    do {
+        got = ::pread(fd_, head, sizeof(head), 0);
+    } while (got < 0 && errno == EINTR);
+    ByteReader r(head, got > 0 ? static_cast<std::size_t>(got) : 0);
+    if (!decodeHeader(r, header_, error)) {
+        close();
+        return false;
+    }
+
+    // The validating pass: the same decoder a replay pass runs,
+    // keeping nothing but the count.
+    JournalRecords scan(*this);
+    scan.rewind();
+    while (scan.next(error)) {
+        ++count_;
+    }
+    if (!error.empty()) {
+        close();
+        return false;
     }
     return true;
 }

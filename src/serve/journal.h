@@ -26,8 +26,11 @@
 #ifndef VANTAGE_SERVE_JOURNAL_H_
 #define VANTAGE_SERVE_JOURNAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,7 +79,7 @@ class JournalWriter
     std::string path_;
 };
 
-/** One parsed journal record. */
+/** One decoded journal record. */
 struct JournalRecord
 {
     JournalEvent event = JournalEvent::Access;
@@ -86,26 +89,142 @@ struct JournalRecord
     Addr addr = 0;                 ///< ACCESS only.
 };
 
+class JournalReader;
+
 /**
- * Whole-file journal reader. load() parses the header and validates
- * the record stream up front, so replay never starts on a journal it
- * cannot finish.
+ * A single-pass input range over the records of a loaded journal.
+ *
+ * The range owns a fixed-size buffer and its own file cursor: begin()
+ * starts reading at the first record with pread(), so two ranges over
+ * one reader never share a position. Dereferencing yields the range's
+ * one current record, overwritten by every increment; memory does not
+ * grow with the journal. Records decode through the same validating
+ * decoder load() ran, so a pass re-checks every record; a pass that
+ * finds the bytes no longer valid (the file was truncated or
+ * rewritten after load()) calls fatal() with the byte offset.
+ *
+ * The range is move-only (it owns its buffer), borrows the reader's
+ * open file, and must not outlive the reader.
+ */
+class JournalRecords
+{
+  public:
+    class iterator
+    {
+      public:
+        using iterator_category = std::input_iterator_tag;
+        using value_type = JournalRecord;
+        using difference_type = std::ptrdiff_t;
+        using pointer = const JournalRecord *;
+        using reference = const JournalRecord &;
+
+        iterator() = default;
+
+        const JournalRecord &operator*() const
+        {
+            return range_->current_;
+        }
+        const JournalRecord *operator->() const
+        {
+            return &range_->current_;
+        }
+        iterator &
+        operator++()
+        {
+            range_->advance();
+            return *this;
+        }
+        void operator++(int) { range_->advance(); }
+
+        /** Single pass: iterators differ only in being at the end. */
+        bool
+        operator==(const iterator &other) const
+        {
+            return atEnd() == other.atEnd();
+        }
+
+      private:
+        friend class JournalRecords;
+        explicit iterator(JournalRecords *range) : range_(range) {}
+        bool atEnd() const { return range_ == nullptr || range_->done_; }
+
+        JournalRecords *range_ = nullptr;
+    };
+
+    /** Start the pass: read and decode the first record. */
+    iterator begin();
+    iterator end() { return iterator(); }
+
+    /** Record count, as validated by load(). */
+    std::size_t size() const;
+
+  private:
+    friend class JournalReader;
+
+    explicit JournalRecords(const JournalReader &reader);
+
+    /** Rewind to the first record with empty slot occupancy. */
+    void rewind();
+    /**
+     * Decode the next record into current_. @return false at the end
+     * (error empty) or on an invalid record (error names its byte
+     * offset).
+     */
+    bool next(std::string &error);
+    /** Buffer at least `need` unread bytes; false if the file ends. */
+    bool fill(std::size_t need, std::string &error);
+    /** Pass step: next(), or fatal() if the file changed. */
+    void advance();
+
+    const JournalReader *reader_;
+    std::unique_ptr<std::uint8_t[]> buf_;
+    std::size_t head_ = 0;      ///< First unread byte in buf_.
+    std::size_t tail_ = 0;      ///< One past the last buffered byte.
+    std::uint64_t filePos_ = 0; ///< File offset of buf_[tail_].
+    std::vector<std::uint8_t> active_; ///< Per slot: joined, not left.
+    JournalRecord current_;
+    std::uint64_t decoded_ = 0;
+    bool done_ = true;
+};
+
+/**
+ * Streaming journal reader. load() decodes the header and validates
+ * every record in one buffered pass — format, slot range and tenant
+ * lifecycle — storing none of them, so replay never starts on a
+ * journal it cannot finish. records() then streams them as often as
+ * needed, each pass in constant memory.
  */
 class JournalReader
 {
   public:
-    /** @return false with `error` set on any I/O or format problem. */
+    JournalReader() = default;
+    ~JournalReader();
+
+    JournalReader(const JournalReader &) = delete;
+    JournalReader &operator=(const JournalReader &) = delete;
+
+    /**
+     * Open `path` and keep it open for records(). @return false with
+     * `error` set on any I/O, header, format or lifecycle problem;
+     * record errors name the record's byte offset.
+     */
     bool load(const std::string &path, std::string &error);
 
     const JournalHeader &header() const { return header_; }
-    const std::vector<JournalRecord> &records() const
-    {
-        return records_;
-    }
+
+    /** A fresh pass over the records; does no I/O until begin(). */
+    JournalRecords records() const { return JournalRecords(*this); }
 
   private:
+    friend class JournalRecords;
+
+    void close();
+
+    int fd_ = -1;
+    std::string path_;
     JournalHeader header_;
-    std::vector<JournalRecord> records_;
+    std::uint64_t dataEnd_ = 0; ///< File length validated by load().
+    std::uint64_t count_ = 0;
 };
 
 } // namespace vantage

@@ -516,22 +516,6 @@ parseCli(const std::vector<std::string> &args, std::string &error)
         opts.machine.ucp = big.ucp;
         opts.machine.useUcp = opts.machine.useUcp && true;
     }
-    // Range-check the Vantage knobs here so a bad value exits with a
-    // message instead of tripping an assert deep in the controller.
-    const VantageConfig &v = opts.l2.vantage;
-    if (!(v.unmanagedFraction > 0.0 && v.unmanagedFraction < 1.0)) {
-        error = "--unmanaged must be in (0, 1)";
-        return opts;
-    }
-    if (!(v.maxAperture > 0.0 && v.maxAperture <= 1.0)) {
-        error = "--amax must be in (0, 1]";
-        return opts;
-    }
-    if (!(v.slack > 0.0 && v.slack < 1.0)) {
-        error = "--slack must be in (0, 1)";
-        return opts;
-    }
-
     if (opts.l2.lines == 0) {
         opts.l2.lines = opts.machine.l2Lines();
     }
@@ -568,6 +552,19 @@ parseCli(const std::vector<std::string> &args, std::string &error)
     }
     opts.l2.numPartitions = opts.machine.numCores;
     opts.l2.seed = opts.seed + 0x5ec;
+
+    // Range-check the L2 here so a bad value exits with a message
+    // instead of tripping an assert deep in a constructor: one bank
+    // under --banks, one partition per tenant slot in the tenant
+    // modes.
+    L2Spec built = opts.l2;
+    if (opts.banks > 0) {
+        built.lines /= opts.banks;
+    }
+    if (modes > 0) {
+        built.numPartitions = opts.maxTenants;
+    }
+    validateL2Spec(built, error); // Sets `error` on failure.
     return opts;
 }
 

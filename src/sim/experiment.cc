@@ -1,10 +1,12 @@
 #include "sim/experiment.h"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "array/random_array.h"
 #include "array/set_assoc.h"
 #include "array/zarray.h"
+#include "common/bits.h"
 #include "common/log.h"
 #include "core/vantage_variants.h"
 #include "obs/metrics_service.h"
@@ -69,6 +71,29 @@ L2Spec::name() const
            arrayKindName(array);
 }
 
+namespace {
+
+/** Candidates per miss of the idealized random array. */
+constexpr std::uint32_t kRandomCandidates = 52;
+
+/** Ways of a spec's array (the random array reports its R). */
+std::uint32_t
+arrayWays(ArrayKind k)
+{
+    switch (k) {
+      case ArrayKind::SA16:
+        return 16;
+      case ArrayKind::SA64:
+        return 64;
+      case ArrayKind::Random:
+        return kRandomCandidates;
+      default:
+        return 4;
+    }
+}
+
+} // namespace
+
 std::unique_ptr<CacheArray>
 buildArray(const L2Spec &spec)
 {
@@ -84,8 +109,8 @@ buildArray(const L2Spec &spec)
         return std::make_unique<SetAssocArray>(spec.lines, 64, true,
                                                spec.seed);
       case ArrayKind::Random:
-        return std::make_unique<RandomArray>(spec.lines, 52,
-                                             spec.seed);
+        return std::make_unique<RandomArray>(
+            spec.lines, kRandomCandidates, spec.seed);
     }
     panic("bad array kind %d", static_cast<int>(spec.array));
 }
@@ -197,6 +222,98 @@ buildBankedL2(const L2Spec &spec, std::uint32_t banks)
     }
     return std::make_unique<BankedCache>(std::move(bs),
                                          spec.seed ^ 0xba4cull);
+}
+
+bool
+validateL2Spec(const L2Spec &spec, std::string &error)
+{
+    const auto fail = [&error](std::string message) {
+        error = std::move(message);
+        return false;
+    };
+    if (spec.scheme > SchemeKind::VantageOracle) {
+        return fail("unknown scheme kind " +
+                    std::to_string(static_cast<int>(spec.scheme)));
+    }
+    if (spec.array > ArrayKind::Random) {
+        return fail("unknown array kind " +
+                    std::to_string(static_cast<int>(spec.array)));
+    }
+    // The Vantage knobs are range-checked for every scheme, so a bad
+    // value never waits for a Vantage run to surface.
+    const VantageConfig &v = spec.vantage;
+    if (!(v.unmanagedFraction > 0.0 && v.unmanagedFraction < 1.0)) {
+        return fail("--unmanaged must be in (0, 1)");
+    }
+    if (!(v.maxAperture > 0.0 && v.maxAperture <= 1.0)) {
+        return fail("--amax must be in (0, 1]");
+    }
+    if (!(v.slack > 0.0 && v.slack < 1.0)) {
+        return fail("--slack must be in (0, 1)");
+    }
+    if (v.thresholdEntries < 1 || v.thresholdEntries > 256) {
+        return fail("Vantage threshold entries must be in [1, 256]");
+    }
+    if (spec.numPartitions == 0) {
+        return fail("need at least one partition");
+    }
+
+    const std::uint32_t ways = arrayWays(spec.array);
+    const std::string lines = std::to_string(spec.lines) + " L2 lines";
+    if (spec.array == ArrayKind::Random) {
+        if (spec.lines < ways) {
+            return fail(lines + " are fewer than the random array's " +
+                        std::to_string(ways) + " candidates");
+        }
+    } else {
+        if (spec.lines % ways != 0) {
+            return fail(lines + " do not divide into " +
+                        std::to_string(ways) + " ways");
+        }
+        if (!isPow2(spec.lines / ways)) {
+            return fail(lines + " give " +
+                        std::to_string(spec.lines / ways) +
+                        " lines per way, not a power of two");
+        }
+    }
+    if (spec.lines / ways > (1ull << 32)) {
+        return fail(lines + " exceed 2^32 lines per way");
+    }
+
+    const std::string parts =
+        std::to_string(spec.numPartitions) + " partitions";
+    switch (spec.scheme) {
+      case SchemeKind::WayPart:
+      case SchemeKind::Pipp:
+        if (spec.lines % ways != 0) {
+            return fail(std::string(schemeKindName(spec.scheme)) +
+                        " needs " + lines + " to divide into " +
+                        std::to_string(ways) + " ways");
+        }
+        if (spec.numPartitions > ways) {
+            return fail(std::string(schemeKindName(spec.scheme)) +
+                        " cannot hold " + parts + " in " +
+                        std::to_string(ways) + " ways");
+        }
+        break;
+      case SchemeKind::Vantage:
+      case SchemeKind::VantageDrrip:
+      case SchemeKind::VantageOracle: {
+        // The controller's own rounding of the managed region.
+        const auto managed = static_cast<std::uint64_t>(std::llround(
+            static_cast<double>(spec.lines) *
+            (1.0 - v.unmanagedFraction)));
+        if (managed < spec.numPartitions) {
+            return fail(parts + " exceed the " +
+                        std::to_string(managed) +
+                        "-line managed region");
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    return true;
 }
 
 RunScale

@@ -85,6 +85,16 @@ std::unique_ptr<Cache> buildL2(const L2Spec &spec);
 std::unique_ptr<BankedCache> buildBankedL2(const L2Spec &spec,
                                            std::uint32_t banks);
 
+/**
+ * Check a spec against every precondition that buildL2() and the
+ * array, scheme and controller constructors assert on, for
+ * spec.numPartitions partitions. vsim's command line and a serve
+ * journal's header both pass through here first, so a bad value
+ * fails with a message instead of an abort.
+ * @return false with `error` set on the first violation.
+ */
+bool validateL2Spec(const L2Spec &spec, std::string &error);
+
 /** Scale of a simulation run. */
 struct RunScale
 {

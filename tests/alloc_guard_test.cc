@@ -11,14 +11,22 @@
  *
  * Skipped under -DVANTAGE_CHECK=ON: the periodic invariant sweep
  * that build wires into Cache::access allocates scratch by design.
+ *
+ * The same shim proves that journal replay streams: loading a serve
+ * journal and reading every record once allocates a fixed handful of
+ * blocks however long the journal is.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 
 #include "array/set_assoc.h"
 #include "array/zarray.h"
@@ -29,6 +37,7 @@
 #include "core/vantage.h"
 #include "partition/unpartitioned.h"
 #include "replacement/lru.h"
+#include "serve/journal.h"
 
 namespace {
 
@@ -214,6 +223,56 @@ TEST(AllocGuard, BankedVantageMissPathIsAllocationFree)
     }
     BankedCache banked(std::move(banks), 0xb);
     EXPECT_EQ(allocationsDuring(banked, 200000, 2, 0x17), 0u);
+}
+
+/** Write a journal: one tenant joins, then makes `accesses` loads. */
+std::string
+writeJournal(const char *name, std::uint64_t accesses)
+{
+    const std::string path = ::testing::TempDir() + "vantage_alloc_" +
+                             name + "_" + std::to_string(::getpid());
+    JournalHeader hdr;
+    hdr.spec.lines = 4096;
+    hdr.maxTenants = 2;
+    JournalWriter writer(path, hdr);
+    writer.recordJoin(0, "tenant0");
+    for (std::uint64_t i = 0; i < accesses; ++i) {
+        writer.recordAccess(0, AccessType::Load, i * 64);
+    }
+    return path;
+}
+
+/** Allocations made by load() plus one full pass over the records. */
+std::uint64_t
+allocationsToStream(const std::string &path, std::uint64_t expected)
+{
+    std::uint64_t records = 0;
+    const std::uint64_t before = newCount();
+    {
+        JournalReader reader;
+        std::string error;
+        if (reader.load(path, error)) {
+            for (const JournalRecord &rec : reader.records()) {
+                records += rec.event == JournalEvent::Access ? 1 : 0;
+            }
+        }
+    }
+    const std::uint64_t allocations = newCount() - before;
+    EXPECT_EQ(records, expected);
+    return allocations;
+}
+
+TEST(AllocGuard, JournalReplayMemoryIsIndependentOfLength)
+{
+    const std::string small = writeJournal("small", 10'000);
+    const std::string large = writeJournal("large", 200'000);
+    const std::uint64_t small_allocs = allocationsToStream(small, 10'000);
+    const std::uint64_t large_allocs =
+        allocationsToStream(large, 200'000);
+    EXPECT_EQ(small_allocs, large_allocs);
+    EXPECT_LE(large_allocs, 8u);
+    std::remove(small.c_str());
+    std::remove(large.c_str());
 }
 
 } // namespace

@@ -2,10 +2,10 @@
 # say something useful on stderr — never abort via vantage_assert.
 # Driven by tests/CMakeLists.txt (test name: cli_errors).
 #
-# Expects: -DVSIM=<path to the vsim binary>.
+# Expects: -DVSIM=<path to the vsim binary> and -DDATA=<tests/data>.
 
-if(NOT VSIM)
-    message(FATAL_ERROR "pass -DVSIM=<vsim binary>")
+if(NOT VSIM OR NOT DATA)
+    message(FATAL_ERROR "pass -DVSIM=<vsim binary> -DDATA=<tests/data>")
 endif()
 
 # expect_error(<description> <expected stderr substring> <args...>)
@@ -83,6 +83,23 @@ expect_error("zero epoch" "bad --epoch value" --epoch 0)
 expect_error("negative epoch" "bad --epoch value" --epoch=-1000)
 expect_error("missing replay file" "cannot open journal"
     --replay /nonexistent/missing.journal)
+# Well-formed journals with an impossible tenant lifecycle: the
+# 72-byte header of a `vsim --lifecycle 2000` journal followed by one
+# bad record (two for the double JOIN). load() rejects each at the
+# record's byte offset before any access is simulated.
+expect_error("access without join" "ACCESS for inactive slot 0 at byte 72"
+    --replay ${DATA}/journal_access_without_join.vsrj)
+expect_error("double join" "JOIN into occupied slot 0 at byte 84"
+    --replay ${DATA}/journal_double_join.vsrj)
+expect_error("leave without join" "LEAVE of inactive slot 0 at byte 72"
+    --replay ${DATA}/journal_leave_without_join.vsrj)
+
+# L2 geometry the array constructors would assert on.
+expect_error("l2 lines not a multiple of the ways"
+    "12345 L2 lines do not divide into 4 ways" --l2-lines 12345)
+expect_error("l2 lines per way not a power of two"
+    "48 L2 lines give 12 lines per way, not a power of two"
+    --l2-lines 48)
 
 # Observability cadences: zero and negative values must exit with a
 # clean parse error (strtoull alone would wrap "-5" to 2^64-5 and

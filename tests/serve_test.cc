@@ -13,6 +13,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -229,7 +231,11 @@ TEST(Journal, WriteReadRoundTrip)
     EXPECT_EQ(reader.header().spec.lines, hdr.spec.lines);
     EXPECT_EQ(reader.header().spec.seed, hdr.spec.seed);
 
-    const auto &recs = reader.records();
+    EXPECT_EQ(reader.records().size(), 5u);
+    std::vector<JournalRecord> recs;
+    for (const JournalRecord &rec : reader.records()) {
+        recs.push_back(rec);
+    }
     ASSERT_EQ(recs.size(), 5u);
     EXPECT_EQ(recs[0].event, JournalEvent::Join);
     EXPECT_EQ(recs[0].name, "alpha");
@@ -283,6 +289,198 @@ TEST(Journal, RejectsOutOfRangeSlot)
     std::string error;
     EXPECT_FALSE(reader.load(path, error));
     EXPECT_NE(error.find("out of range"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+/** Load `path`; @return the error, empty when it loaded. */
+std::string
+loadError(const std::string &path)
+{
+    JournalReader reader;
+    std::string error;
+    const bool loaded = reader.load(path, error);
+    EXPECT_EQ(loaded, error.empty());
+    return error;
+}
+
+/** Header size of a version-1 journal: records start here. */
+constexpr std::uint64_t kRecordsStart = 72;
+
+TEST(Journal, RejectsAccessWithoutJoin)
+{
+    const std::string path = tempPath("nojoin");
+    {
+        JournalWriter writer(path, smallConfig());
+        writer.recordAccess(0, AccessType::Load, 0x40);
+    }
+    const std::string error = loadError(path);
+    EXPECT_NE(error.find("ACCESS for inactive slot 0"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("at byte " + std::to_string(kRecordsStart)),
+              std::string::npos)
+        << error;
+    std::remove(path.c_str());
+}
+
+TEST(Journal, RejectsDoubleJoin)
+{
+    const std::string path = tempPath("rejoin");
+    {
+        JournalWriter writer(path, smallConfig());
+        writer.recordJoin(0, "a");
+        writer.recordJoin(0, "b");
+    }
+    const std::string error = loadError(path);
+    EXPECT_NE(error.find("JOIN into occupied slot 0"), std::string::npos)
+        << error;
+    // The second JOIN follows a 6-byte JOIN with a 1-byte name.
+    EXPECT_NE(error.find("at byte " + std::to_string(kRecordsStart + 6)),
+              std::string::npos)
+        << error;
+    std::remove(path.c_str());
+}
+
+TEST(Journal, RejectsLeaveWithoutJoin)
+{
+    const std::string path = tempPath("noleave");
+    {
+        JournalWriter writer(path, smallConfig());
+        writer.recordLeave(0);
+    }
+    const std::string error = loadError(path);
+    EXPECT_NE(error.find("LEAVE of inactive slot 0"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("at byte " + std::to_string(kRecordsStart)),
+              std::string::npos)
+        << error;
+    std::remove(path.c_str());
+}
+
+TEST(Journal, RejectsOutOfRangeHeaderFields)
+{
+    // Each row edits one header field of an otherwise valid journal
+    // (vsim's --lifecycle defaults); every edit must fail load() with
+    // a message, never reach an assert in the L2 constructors.
+    JournalHeader base;
+    base.spec.lines = 32768;
+    base.maxTenants = 8;
+    base.epochAccesses = 50'000;
+    struct Edit
+    {
+        const char *field;
+        std::function<void(JournalHeader &)> apply;
+        const char *expect;
+    };
+    const std::vector<Edit> edits = {
+        {"scheme 99",
+         [](JournalHeader &h) { h.spec.scheme = static_cast<SchemeKind>(99); },
+         "unknown scheme kind 99"},
+        {"array 99",
+         [](JournalHeader &h) { h.spec.array = static_cast<ArrayKind>(99); },
+         "unknown array kind 99"},
+        {"lines 12345", [](JournalHeader &h) { h.spec.lines = 12345; },
+         "do not divide into 4 ways"},
+        {"lines 0", [](JournalHeader &h) { h.spec.lines = 0; },
+         "not a power of two"},
+        {"lines 2^40", [](JournalHeader &h) { h.spec.lines = 1ull << 40; },
+         "exceed 2^32 lines per way"},
+        {"u 1.5",
+         [](JournalHeader &h) { h.spec.vantage.unmanagedFraction = 1.5; },
+         "--unmanaged must be in (0, 1)"},
+        {"slack 0", [](JournalHeader &h) { h.spec.vantage.slack = 0.0; },
+         "--slack must be in (0, 1)"},
+        {"Amax NaN",
+         [](JournalHeader &h) {
+             h.spec.vantage.maxAperture =
+                 std::numeric_limits<double>::quiet_NaN();
+         },
+         "--amax must be in (0, 1]"},
+        {"thresholdEntries 0",
+         [](JournalHeader &h) { h.spec.vantage.thresholdEntries = 0; },
+         "threshold entries must be in [1, 256]"},
+        {"thresholdEntries 2^30",
+         [](JournalHeader &h) {
+             h.spec.vantage.thresholdEntries = 1u << 30;
+         },
+         "threshold entries must be in [1, 256]"},
+        {"maxTenants 65535", [](JournalHeader &h) { h.maxTenants = 65535; },
+         "partitions exceed the 31130-line managed region"},
+        {"maxTenants 0", [](JournalHeader &h) { h.maxTenants = 0; },
+         "bad tenant capacity"},
+    };
+    const std::string path = tempPath("badheader");
+    {
+        JournalWriter writer(path, base);
+    }
+    EXPECT_EQ(loadError(path), "");
+    for (const Edit &edit : edits) {
+        JournalHeader hdr = base;
+        edit.apply(hdr);
+        {
+            JournalWriter writer(path, hdr);
+        }
+        const std::string error = loadError(path);
+        EXPECT_NE(error.find("journal header: "), std::string::npos)
+            << edit.field << ": " << error;
+        EXPECT_NE(error.find(edit.expect), std::string::npos)
+            << edit.field << ": " << error;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Journal, RangesHaveIndependentCursors)
+{
+    const std::string path = tempPath("cursors");
+    {
+        JournalWriter writer(path, smallConfig());
+        writer.recordJoin(0, "alpha");
+        for (Addr a = 0; a < 3; ++a) {
+            writer.recordAccess(0, AccessType::Load, a);
+        }
+    }
+    JournalReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.load(path, error)) << error;
+    JournalRecords first = reader.records();
+    JournalRecords second = reader.records();
+    auto a = first.begin();
+    ++a;
+    ++a;
+    EXPECT_EQ(a->addr, 1u);
+    auto b = second.begin();
+    EXPECT_EQ(b->event, JournalEvent::Join);
+    EXPECT_EQ(b->name, "alpha");
+    ++a;
+    ++b;
+    EXPECT_EQ(a->addr, 2u);
+    EXPECT_EQ(b->addr, 0u);
+    ++a;
+    EXPECT_TRUE(a == first.end());
+    EXPECT_FALSE(b == second.end());
+    std::remove(path.c_str());
+}
+
+TEST(JournalDeath, PassOverFileChangedAfterLoadIsFatal)
+{
+    const std::string path = tempPath("changed");
+    {
+        JournalWriter writer(path, smallConfig());
+        writer.recordJoin(0, "alpha");
+        writer.recordAccess(0, AccessType::Load, 0x40);
+    }
+    JournalReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.load(path, error)) << error;
+    // Cut the validated ACCESS record in half.
+    ASSERT_EQ(::truncate(path.c_str(), kRecordsStart + 10 + 6), 0);
+    EXPECT_EXIT(
+        {
+            for (const JournalRecord &rec : reader.records()) {
+                (void)rec;
+            }
+        },
+        ::testing::ExitedWithCode(1),
+        "changed after it was loaded: file ends at byte 88");
     std::remove(path.c_str());
 }
 
