@@ -56,30 +56,7 @@ main()
 
     std::printf("Figure 11: RRIP variants and Vantage on Z4/52 "
                 "(4-core, vs LRU-SA16)\n\n");
-    const auto rows = [&] {
-        // Vantage-DRRIP uses its own machine config with RRIP
-        // monitors; run it separately and splice the column in.
-        SuiteOptions lru_opts = opts;
-        const std::vector<L2Spec> lru_configs = {
-            spec(SchemeKind::Vantage),
-            spec(SchemeKind::UnpartTaDrrip),
-            spec(SchemeKind::UnpartDrrip),
-            spec(SchemeKind::UnpartSrrip),
-        };
-        auto base_rows = runSuite(lru_opts, baseline, lru_configs);
-
-        SuiteOptions rrip_opts = opts;
-        rrip_opts.machine.ucp.rripMonitors = true;
-        const auto vd_rows = runSuite(
-            rrip_opts, baseline, {spec(SchemeKind::VantageDrrip)});
-
-        for (std::size_t i = 0; i < base_rows.size(); ++i) {
-            base_rows[i].normalized.insert(
-                base_rows[i].normalized.begin(),
-                vd_rows[i].normalized[0]);
-        }
-        return base_rows;
-    }();
+    const auto rows = runSuite(opts, baseline, configs);
 
     std::printf("Sorted normalized throughput curves:\n");
     printSortedCurves(rows, names);

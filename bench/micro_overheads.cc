@@ -9,32 +9,17 @@
  * Results also land in BENCH_micro.json (via the suite's JSON
  * export, honoring $VANTAGE_BENCH_DIR) so serial hot-path changes
  * show up in the bench trajectory alongside the figure suites.
- *
- * Baseline comparison (environment):
- *   VANTAGE_MICRO_BASELINE  path to a previous BENCH_micro.json;
- *                           each benchmark's ns/op is compared
- *                           against it and the comparison is printed
- *                           and exported under "baseline"
- *   VANTAGE_MICRO_TOL       max allowed current/baseline ratio
- *                           (default 1.5 — wide, to ride out shared
- *                           CI machines)
- *   VANTAGE_MICRO_STRICT    when set nonzero, exit 1 if any
- *                           benchmark exceeds the tolerance
+ * scripts/bench_compare.py compares such a file against a baseline
+ * (bench/baseline_micro.json in CI).
  */
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "suite.h"
-
-#include "stats/json.h"
 
 #include "alloc/lookahead.h"
 #include "alloc/umon.h"
@@ -539,82 +524,6 @@ class CollectingReporter : public benchmark::ConsoleReporter
     std::vector<vantage::bench::MicroResult> results_;
 };
 
-/**
- * Compare the collected results against $VANTAGE_MICRO_BASELINE.
- * @return true when a comparison was made (baseline readable).
- */
-bool
-compareToBaseline(const std::vector<bench::MicroResult> &results,
-                  bench::MicroComparison &cmp)
-{
-    const char *path = std::getenv("VANTAGE_MICRO_BASELINE");
-    if (path == nullptr || *path == '\0') {
-        return false;
-    }
-    cmp.baselinePath = path;
-    if (const char *t = std::getenv("VANTAGE_MICRO_TOL")) {
-        const double v = std::strtod(t, nullptr);
-        if (v > 0.0) {
-            cmp.tolerance = v;
-        }
-    }
-
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "micro: cannot read baseline %s\n",
-                     path);
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    const JsonValue doc = JsonValue::parse(buf.str(), error);
-    if (!error.empty()) {
-        std::fprintf(stderr, "micro: baseline %s: %s\n", path,
-                     error.c_str());
-        return false;
-    }
-
-    for (const auto &r : results) {
-        const JsonValue *node =
-            doc.find("benchmarks." + r.name + ".ns_per_op");
-        if (node == nullptr || !node->isNumber() ||
-            node->number <= 0.0) {
-            continue; // New benchmark: nothing to compare against.
-        }
-        bench::MicroCompareEntry e;
-        e.name = r.name;
-        e.baselineNs = node->number;
-        e.currentNs = r.nsPerOp;
-        e.ratio = r.nsPerOp / node->number;
-        // A baseline entry may carry its own tolerance (huge-footprint
-        // benchmarks are noisier than in-LLC ones); otherwise the
-        // global VANTAGE_MICRO_TOL applies.
-        e.tolerance = cmp.tolerance;
-        const JsonValue *tol =
-            doc.find("benchmarks." + r.name + ".tolerance");
-        if (tol != nullptr && tol->isNumber() && tol->number > 0.0) {
-            e.tolerance = tol->number;
-        }
-        if (e.ratio > e.tolerance) {
-            cmp.withinTolerance = false;
-        }
-        cmp.entries.push_back(std::move(e));
-    }
-
-    std::fprintf(stderr,
-                 "micro: baseline %s (default tolerance %.2fx)\n",
-                 path, cmp.tolerance);
-    for (const auto &e : cmp.entries) {
-        std::fprintf(stderr, "  %-28s %10.2f -> %10.2f ns/op "
-                             "(%.2fx, tol %.2fx)%s\n",
-                     e.name.c_str(), e.baselineNs, e.currentNs,
-                     e.ratio, e.tolerance,
-                     e.ratio > e.tolerance ? "  ** SLOW **" : "");
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -627,22 +536,6 @@ main(int argc, char **argv)
     CollectingReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
-
-    bench::MicroComparison cmp;
-    const bool compared =
-        compareToBaseline(reporter.results(), cmp);
-    vantage::bench::writeMicroJson("micro", reporter.results(),
-                                   compared ? &cmp : nullptr);
-    if (compared && !cmp.withinTolerance) {
-        const char *strict = std::getenv("VANTAGE_MICRO_STRICT");
-        if (strict != nullptr && std::strtol(strict, nullptr, 10)) {
-            std::fprintf(stderr,
-                         "micro: benchmarks exceeded tolerance\n");
-            return 1;
-        }
-        std::fprintf(stderr, "micro: benchmarks exceeded tolerance "
-                             "(advisory; set VANTAGE_MICRO_STRICT=1 "
-                             "to fail)\n");
-    }
+    vantage::bench::writeMicroJson("micro", reporter.results());
     return 0;
 }

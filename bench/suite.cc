@@ -461,8 +461,7 @@ writeBenchJson(const std::string &bench,
 
 void
 writeMicroJson(const std::string &bench,
-               const std::vector<MicroResult> &results,
-               const MicroComparison *cmp)
+               const std::vector<MicroResult> &results)
 {
     const std::string path = benchJsonPath(bench);
     std::ofstream out(path);
@@ -484,25 +483,6 @@ writeMicroJson(const std::string &bench,
         w.endObject();
     }
     w.endObject();
-    if (cmp != nullptr) {
-        w.key("baseline");
-        w.beginObject();
-        w.kv("path", cmp->baselinePath);
-        w.kv("tolerance", cmp->tolerance);
-        w.kv("within_tolerance", cmp->withinTolerance);
-        w.key("benchmarks");
-        w.beginObject();
-        for (const auto &e : cmp->entries) {
-            w.key(e.name);
-            w.beginObject();
-            w.kv("baseline_ns_per_op", e.baselineNs);
-            w.kv("ratio", e.ratio);
-            w.kv("tolerance", e.tolerance);
-            w.endObject();
-        }
-        w.endObject();
-        w.endObject();
-    }
     w.endObject();
     out.flush();
     if (!out) {

@@ -117,43 +117,15 @@ struct MicroResult
     std::uint64_t iterations = 0;
 };
 
-/** One benchmark's current-vs-baseline comparison. */
-struct MicroCompareEntry
-{
-    std::string name;
-    double baselineNs = 0.0; ///< ns/op recorded in the baseline file.
-    double currentNs = 0.0;  ///< ns/op measured this run.
-    double ratio = 0.0;      ///< current / baseline.
-    double tolerance = 0.0;  ///< Effective max ratio for this entry
-                             ///< (per-entry override or the global).
-};
-
-/**
- * Comparison of a micro run against a stored BENCH_micro.json
- * baseline (see VANTAGE_MICRO_BASELINE in micro_overheads).
- */
-struct MicroComparison
-{
-    std::string baselinePath;
-    double tolerance = 1.5;     ///< Default max current/baseline; a
-                                ///< baseline entry's "tolerance"
-                                ///< field overrides it per benchmark.
-    bool withinTolerance = true;
-    std::vector<MicroCompareEntry> entries;
-};
-
 /**
  * Export microbenchmark results as BENCH_<bench>.json (same
  * $VANTAGE_BENCH_DIR resolution as writeBenchJson): a "benchmarks"
  * object mapping each benchmark to its ns/op and iteration count,
- * so serial hot-path changes show up in the bench trajectory. When
- * `cmp` is non-null a "baseline" object records the comparison
- * against the stored baseline file (per-benchmark ratio plus the
- * overall within_tolerance verdict).
+ * so serial hot-path changes show up in the bench trajectory
+ * (scripts/bench_compare.py compares two such files).
  */
 void writeMicroJson(const std::string &bench,
-                    const std::vector<MicroResult> &results,
-                    const MicroComparison *cmp = nullptr);
+                    const std::vector<MicroResult> &results);
 
 } // namespace bench
 } // namespace vantage

@@ -15,8 +15,8 @@ benchmarks must be able to land before the baseline is re-pinned).
 
 Exits 0 when no benchmark regresses beyond the tolerance, 1 on any
 regression, 2 on usage/parse errors. Intended both for local use and
-as the CI bench-smoke gate (alongside the in-binary comparison the
-bench runs with VANTAGE_MICRO_BASELINE/.._STRICT).
+as the CI bench-smoke gate; it is the only micro-benchmark gate
+(micro_overheads itself only measures and exports).
 """
 
 import argparse

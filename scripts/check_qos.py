@@ -46,7 +46,9 @@ DECISION_FIELDS = {
     "setpoint_ts": int, "current_ts": int, "cands_seen": int,
     "cands_demoted": int,
 }
-VIOLATION_KINDS = ("slack", "aperture_saturation", "missrate",
+# As the engine names them (qosKindName in src/obs/qos.cc); the
+# --slo key for the miss-rate SLO is spelled "missrate".
+VIOLATION_KINDS = ("slack", "aperture_saturation", "miss_rate",
                    "latency")
 
 

@@ -35,12 +35,11 @@ do
 done
 
 # Microbenchmarks of the serial hot paths (exports BENCH_micro.json).
-# Point VANTAGE_MICRO_BASELINE at a previous run's BENCH_micro.json to
-# get a per-benchmark comparison (tolerance VANTAGE_MICRO_TOL, default
-# 1.5x; VANTAGE_MICRO_STRICT=1 turns regressions into a failure).
+# Compare against a previous run's export with
+#   python3 scripts/bench_compare.py --baseline OLD.json \
+#       --current BENCH_micro.json
 echo "=== micro_overheads ==="
-VANTAGE_MICRO_BASELINE=${VANTAGE_MICRO_BASELINE:-} \
-    "$BUILD/bench/micro_overheads" | tee "$OUT/micro_overheads.txt"
+"$BUILD/bench/micro_overheads" | tee "$OUT/micro_overheads.txt"
 
 # One instrumented vsim run: full stats registry + controller trace
 # + Chrome event trace (load vsim_mix0.events.json in Perfetto) +

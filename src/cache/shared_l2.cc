@@ -1,5 +1,6 @@
 #include "cache/shared_l2.h"
 
+#include "common/log.h"
 #include "core/vantage.h"
 #include "core/vantage_variants.h"
 
@@ -135,6 +136,19 @@ bool
 MonoL2::partitionActive(PartId part) const
 {
     return cache_->scheme().partitionActive(part);
+}
+
+bool
+attachAudit(SharedL2 &l2, DecisionAudit *audit)
+{
+    Cache *const mono = l2.monoCache();
+    if (mono == nullptr) {
+        warn("decision audit is mono-L2 only; banked L2 decisions "
+             "are not recorded");
+        return false;
+    }
+    mono->scheme().attachAudit(audit);
+    return true;
 }
 
 } // namespace vantage

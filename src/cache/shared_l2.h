@@ -28,6 +28,8 @@
 
 namespace vantage {
 
+class DecisionAudit;
+
 /** The shared-cache surface the CMP simulator drives. */
 class SharedL2
 {
@@ -156,6 +158,13 @@ class MonoL2 : public SharedL2
   private:
     std::unique_ptr<Cache> cache_;
 };
+
+/**
+ * Attach a decision audit ring to a flat L2's scheme. A record
+ * carries no bank, so a banked L2 (one scheme per bank) warns and
+ * attaches nothing. @return whether the ring was attached.
+ */
+bool attachAudit(SharedL2 &l2, DecisionAudit *audit);
 
 } // namespace vantage
 

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/epoch_clock.h"
 #include "stats/snapshot.h"
 
 namespace vantage {
@@ -275,6 +276,32 @@ class QosEngine
     std::vector<std::uint64_t> partTotals_;
     std::vector<std::uint8_t> partSeen_;
     std::uint64_t activeCount_ = 0;
+};
+
+/**
+ * Steps a QosEngine on a simulator's epoch clock: each firing
+ * evaluates a snapshot of `reg` numbered by the engine's step count
+ * and clocked by the access count (no output shows the clock: step()
+ * reads deltas).
+ */
+class QosStepper : public EpochObserver
+{
+  public:
+    QosStepper(QosEngine &qos, const StatsRegistry &reg)
+        : qos_(qos), reg_(reg)
+    {
+    }
+
+    void
+    onEpoch(std::uint64_t accesses) override
+    {
+        qos_.step(takeSnapshot(reg_, qos_.epochsSeen() + 1,
+                               static_cast<double>(accesses)));
+    }
+
+  private:
+    QosEngine &qos_;
+    const StatsRegistry &reg_;
 };
 
 } // namespace vantage

@@ -17,8 +17,9 @@
 
 namespace vantage {
 
-ServeServer::ServeServer(TenantSim &sim, JournalWriter *journal)
-    : sim_(sim), journal_(journal)
+ServeServer::ServeServer(TenantSim &sim, JournalWriter *journal,
+                         QosEngine *qos, const DecisionAudit *audit)
+    : sim_(sim), journal_(journal), qos_(qos), audit_(audit)
 {
     slotLatency_.resize(sim.maxTenants());
 }
@@ -110,10 +111,10 @@ ServeServer::dropClient(Client &client)
             journal_->recordLeave(slot);
         }
         sim_.leave(slot);
-        if (sim_.qos() != nullptr) {
+        if (qos_ != nullptr) {
             // Stop evaluating the departed tenant's latency sample
             // against whatever SLO the slot's next occupant sets.
-            sim_.qos()->recordLatency(slot, -1.0);
+            qos_->recordLatency(slot, -1.0);
         }
         client.slot = -1;
     }
@@ -155,11 +156,10 @@ ServeServer::handleFrame(Client &client, const Frame &frame)
         }
         client.slot = slot;
         slotLatency_[static_cast<std::size_t>(slot)].reset();
-        if (sim_.qos() != nullptr) {
+        if (qos_ != nullptr) {
             // 0 clears any SLO left by the slot's previous occupant.
-            sim_.qos()->setLatencySlo(
-                static_cast<std::uint32_t>(slot),
-                static_cast<double>(latency_slo_us));
+            qos_->setLatencySlo(static_cast<std::uint32_t>(slot),
+                                static_cast<double>(latency_slo_us));
         }
         sendFrame(client.fd, FrameType::Ok,
                   buildOkSlot(static_cast<std::uint16_t>(slot)));
@@ -194,9 +194,8 @@ ServeServer::handleFrame(Client &client, const Frame &frame)
         hist.add(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
                 .count()));
-        if (sim_.qos() != nullptr) {
-            sim_.qos()->recordLatency(slot,
-                                      hist.quantile(0.99) / 1000.0);
+        if (qos_ != nullptr) {
+            qos_->recordLatency(slot, hist.quantile(0.99) / 1000.0);
         }
         sendFrame(client.fd, FrameType::Ok, buildOkHits(hits));
         return true;
@@ -222,12 +221,12 @@ ServeServer::handleFrame(Client &client, const Frame &frame)
             stats.latencyP99Ns = static_cast<std::uint64_t>(
                 std::llround(hist.quantile(0.99)));
         }
-        if (sim_.qos() != nullptr) {
-            stats.sloViolations = sim_.qos()->totalForPart(slot);
-            stats.sloActive = sim_.qos()->activeForPart(slot);
+        if (qos_ != nullptr) {
+            stats.sloViolations = qos_->totalForPart(slot);
+            stats.sloActive = qos_->activeForPart(slot);
         }
-        if (sim_.audit() != nullptr) {
-            stats.decisions = sim_.audit()->totalForPart(slot);
+        if (audit_ != nullptr) {
+            stats.decisions = audit_->totalForPart(slot);
         }
         sendFrame(client.fd, FrameType::StatsReply,
                   buildStatsReply(stats));

@@ -23,7 +23,7 @@
  * is dropped; a joined tenant on a dropped connection is retired.
  *
  * QoS: the server times every ACCESS_BATCH into a per-slot latency
- * histogram and, when the sim has a QoS engine attached, feeds the
+ * histogram and, when given the session's QoS engine, feeds the
  * running p99 to it and forwards HELLO-carried latency SLOs. STATS
  * replies carry the extended TenantStats QoS block (batch latency
  * percentiles, SLO violation counts, audit-trail decision count).
@@ -44,15 +44,22 @@
 
 namespace vantage {
 
-/** The --serve daemon. Owns the sockets; borrows sim and journal. */
+class DecisionAudit;
+class QosEngine;
+
+/** The --serve daemon. Owns the sockets; borrows the rest. */
 class ServeServer
 {
   public:
     /**
      * @param sim      the simulation to drive.
      * @param journal  event journal, or nullptr to skip recording.
+     * @param qos      the sim's QoS engine, or nullptr.
+     * @param audit    the audit ring on the sim's L2, or nullptr.
      */
-    ServeServer(TenantSim &sim, JournalWriter *journal);
+    ServeServer(TenantSim &sim, JournalWriter *journal,
+                QosEngine *qos = nullptr,
+                const DecisionAudit *audit = nullptr);
     ~ServeServer();
 
     ServeServer(const ServeServer &) = delete;
@@ -98,6 +105,8 @@ class ServeServer
 
     TenantSim &sim_;
     JournalWriter *journal_;
+    QosEngine *qos_;
+    const DecisionAudit *audit_;
     int listenFd_ = -1;
     std::uint16_t port_ = 0;
     bool shutdown_ = false;

@@ -4,10 +4,7 @@
 
 #include "common/log.h"
 #include "common/rng.h"
-#include "obs/audit.h"
-#include "obs/qos.h"
 #include "stats/registry.h"
-#include "stats/snapshot.h"
 
 namespace vantage {
 
@@ -147,40 +144,9 @@ TenantSim::access(std::uint16_t slot, Addr addr, AccessType type)
     ++accesses_;
     if (epochAccesses_ != 0 && accesses_ % epochAccesses_ == 0) {
         repartition();
-        stepQos();
     }
+    clock_.tick();
     return result;
-}
-
-void
-TenantSim::attachAudit(DecisionAudit *audit)
-{
-    audit_ = audit;
-    Cache *const mono = l2_->monoCache();
-    if (mono != nullptr) {
-        mono->scheme().attachAudit(audit);
-    }
-}
-
-void
-TenantSim::attachQos(QosEngine *qos, StatsRegistry *reg)
-{
-    qos_ = (reg != nullptr) ? qos : nullptr;
-    qosReg_ = reg;
-}
-
-void
-TenantSim::stepQos()
-{
-    if (qos_ == nullptr) {
-        return;
-    }
-    // The epoch index and clock are both derived from the access
-    // count, so live serve sessions and journal replays evaluate the
-    // exact same sequence of QoS epochs.
-    ++qosEpoch_;
-    qos_->step(takeSnapshot(*qosReg_, qosEpoch_,
-                            static_cast<double>(accesses_)));
 }
 
 void

@@ -32,12 +32,11 @@
 #include "alloc/ucp.h"
 #include "cache/shared_l2.h"
 #include "common/digest.h"
+#include "obs/epoch_clock.h"
 #include "serve/journal.h"
 
 namespace vantage {
 
-class DecisionAudit;
-class QosEngine;
 class StatsRegistry;
 
 /** Tenant-facing view of one slot's counters. */
@@ -103,24 +102,15 @@ class TenantSim
     Ucp *ucp() { return ucp_.get(); }
 
     /**
-     * Attach a decision audit ring to the L2's scheme: every
-     * repartition, lifecycle transition and Vantage setpoint move is
-     * recorded. Observational only (digest-neutral); the ring must
-     * outlive this sim. The serve loop is the ring's single writer.
+     * Fire read-only `obs` (a QosStepper) every `every` accesses,
+     * after an epoch's UCP step (see obs/epoch_clock.h): a pure
+     * function of the event stream, not of socket timing.
      */
-    void attachAudit(DecisionAudit *audit);
-
-    /**
-     * Attach the QoS engine: at every epoch boundary (after the UCP
-     * step) the engine evaluates one snapshot of `reg`, with the
-     * access count as the snapshot clock — a pure function of the
-     * event stream, so serve and replay evaluate identical epochs.
-     * Both must outlive this sim; digest-neutral.
-     */
-    void attachQos(QosEngine *qos, StatsRegistry *reg);
-
-    QosEngine *qos() { return qos_; }
-    DecisionAudit *audit() { return audit_; }
+    void
+    addObserver(EpochObserver *obs, std::uint64_t every)
+    {
+        clock_.add(obs, every);
+    }
 
     /**
      * Live-introspection export for the metrics service: the L2's
@@ -131,9 +121,6 @@ class TenantSim
     void registerLiveStats(StatsRegistry &reg) const;
 
   private:
-    /** One QoS epoch at an access-count boundary. */
-    void stepQos();
-
     void activate(std::uint16_t slot, const std::string &name);
 
     /** Equal split of the quantum over the active slots. */
@@ -152,12 +139,7 @@ class TenantSim
     std::uint64_t accesses_ = 0;
     AccessDigest digest_;
     bool digestDone_ = false;
-
-    // Observational attachments (digest-neutral).
-    DecisionAudit *audit_ = nullptr;
-    QosEngine *qos_ = nullptr;
-    StatsRegistry *qosReg_ = nullptr;
-    std::uint64_t qosEpoch_ = 0;
+    EpochClock clock_;
 };
 
 /**

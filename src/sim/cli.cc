@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "obs/qos.h"
 
@@ -98,8 +99,7 @@ cliUsage()
            "                       with its own controller (paper\n"
            "                       Table 2; N must divide the line\n"
            "                       count; default: flat cache;\n"
-           "                       not with --serve / --replay /\n"
-           "                       --lifecycle)\n"
+           "                       workload runs only)\n"
            "  --no-ucp             static equal allocations\n"
            "  --repartition N      UCP interval in cycles\n"
            "\n"
@@ -122,7 +122,8 @@ cliUsage()
            "                       vsim simulation always runs on\n"
            "                       one thread)\n"
            "\n"
-           "observability:\n"
+           "observability (--stats-out, --trace-out, --events-out\n"
+           "and --heartbeat[-out] apply to workload runs only):\n"
            "  --stats-out FILE     write end-of-run stats as JSON\n"
            "  --trace-out FILE     write a controller trace as CSV\n"
            "                       (vantage schemes only)\n"
@@ -138,6 +139,7 @@ cliUsage()
            "                       a -DVANTAGE_TRACE=ON build)\n"
            "  --heartbeat N        single-line JSON progress record\n"
            "                       on stderr every N memory accesses\n"
+           "                       stepped (summed over all cores)\n"
            "  --heartbeat-out FILE append heartbeat records to FILE\n"
            "                       instead of stderr (implies\n"
            "                       --heartbeat with its default\n"
@@ -146,14 +148,16 @@ cliUsage()
            "                       127.0.0.1:N (0 picks a free port,\n"
            "                       announced on stderr); scrape\n"
            "                       /metrics, or watch with\n"
-           "                       scripts/vsim_top.py\n"
+           "                       scripts/vsim_top.py (not with\n"
+           "                       --replay / --lifecycle)\n"
            "  --metrics-period-ms N  metrics sampling epoch\n"
            "                       (default 250)\n"
            "  --digest             print a 64-bit FNV-1a digest of\n"
            "                       per-access L2 outcomes (golden\n"
            "                       regression tests)\n"
            "  --slo SPEC           per-partition QoS SLOs, checked\n"
-           "                       every epoch; SPEC is ';'-joined\n"
+           "                       every --epoch accesses (not with\n"
+           "                       --replay); SPEC is ';'-joined\n"
            "                       clauses of 'key=value' pairs with\n"
            "                       keys slack, aperture_bp, missrate,\n"
            "                       latency_us; an 'N:' prefix scopes\n"
@@ -179,9 +183,10 @@ cliUsage()
            "                       join/leave churn (no sockets)\n"
            "  --max-tenants N      tenant slot capacity for --serve\n"
            "                       and --lifecycle (default 8)\n"
-           "  --epoch N            accesses per repartitioning epoch\n"
-           "                       in serve/lifecycle mode\n"
-           "                       (default 50000)\n"
+           "  --epoch N            accesses per epoch (default\n"
+           "                       50000): the --slo cadence in every\n"
+           "                       mode, and the UCP repartitioning\n"
+           "                       interval in serve/lifecycle mode\n"
            "\n"
            "Options also accept the --option=value form.\n"
            "  --help               this text\n";
@@ -534,12 +539,28 @@ parseCli(const std::vector<std::string> &args, std::string &error)
         error = "choose one of --serve / --replay / --lifecycle";
         return opts;
     }
-    // The tenant simulator behind these modes always builds a flat
-    // L2; refuse --banks rather than silently ignore it.
-    if (modes > 0 && opts.banks > 0) {
-        error = "--banks does not apply to --serve / --replay / "
-                "--lifecycle (they simulate a flat L2)";
-        return opts;
+    // The tenant simulator behind these modes builds a flat L2 and
+    // runs no workload: refuse the options it would silently drop.
+    // Only the daemon has a live endpoint; a replay runs no QoS.
+    const bool serve = opts.servePort >= 0;
+    const bool replay = !opts.replayPath.empty();
+    const std::pair<const char *, bool> dropped[] = {
+        {"--banks", opts.banks > 0},
+        {"--heartbeat", opts.scale.heartbeatEvery != 0},
+        {"--heartbeat-out", !opts.heartbeatOut.empty()},
+        {"--stats-out", !opts.statsOut.empty()},
+        {"--trace-out", !opts.traceOut.empty()},
+        {"--events-out", !opts.eventsOut.empty()},
+        {"--metrics-port", !serve && opts.metricsPort >= 0},
+        {"--slo", replay && !opts.sloSpec.empty()},
+        {"--qos-out", replay && !opts.qosOut.empty()},
+    };
+    for (const auto &[flag, given] : dropped) {
+        if (modes > 0 && given) {
+            error = std::string(flag) + " does not apply to " +
+                    (serve ? "--serve" : replay ? "--replay" : "--lifecycle");
+            return opts;
+        }
     }
     if (!opts.serveJournal.empty() && opts.servePort < 0 &&
         opts.lifecycleAccesses == 0) {

@@ -111,7 +111,10 @@ struct CliOptions
     /** Tenant slot capacity for --serve / --lifecycle. */
     std::uint32_t maxTenants = 8;
 
-    /** Accesses per repartitioning epoch in serve/lifecycle mode. */
+    /**
+     * Accesses per epoch: the QoS (--slo) cadence in every mode, and
+     * the UCP repartitioning interval in serve/lifecycle mode.
+     */
     std::uint64_t epochAccesses = 50'000;
 
     bool showHelp = false;

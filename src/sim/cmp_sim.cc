@@ -1,20 +1,13 @@
 #include "sim/cmp_sim.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <limits>
 
 #include "array/set_assoc.h"
 #include "common/log.h"
 #include "core/vantage_variants.h"
-#include "obs/audit.h"
-#include "obs/qos.h"
 #include "partition/unpartitioned.h"
 #include "replacement/lru.h"
-#include "stats/json.h"
 #include "stats/registry.h"
-#include "stats/snapshot.h"
 #include "trace/event_trace.h"
 
 namespace vantage {
@@ -81,7 +74,10 @@ CmpSim::buildCaches()
     cores_.resize(cfg_.numCores);
     clockHeap_.reset(cfg_.numCores);
     if (cfg_.useUcp) {
-        ucp_ = std::make_unique<Ucp>(cfg_.numCores, cfg_.ucp);
+        // Vantage-DRRIP's per-partition dueling needs RRIP monitors.
+        UcpConfig ucfg = cfg_.ucp;
+        ucfg.rripMonitors = l2_->wantsBrrip();
+        ucp_ = std::make_unique<Ucp>(cfg_.numCores, ucfg);
     }
 }
 
@@ -217,13 +213,14 @@ CmpSim::markStart()
 void
 CmpSim::warmup(std::uint64_t accesses)
 {
+    phase_ = "warmup";
     std::vector<std::uint64_t> issued(cfg_.numCores, 0);
     std::uint32_t remaining = cfg_.numCores;
     while (remaining > 0) {
         const std::uint32_t core = nextCore();
         step(core);
         maybeRepartition();
-        heartbeatTick("warmup");
+        clock_.tick();
         if (issued[core] < accesses && ++issued[core] == accesses) {
             --remaining;
         }
@@ -233,6 +230,7 @@ CmpSim::warmup(std::uint64_t accesses)
 void
 CmpSim::run(std::uint64_t instructions)
 {
+    phase_ = "run";
     markStart();
     std::uint32_t remaining = cfg_.numCores;
     while (remaining > 0) {
@@ -240,7 +238,7 @@ CmpSim::run(std::uint64_t instructions)
         CoreState &cs = cores_[core];
         step(core);
         maybeRepartition();
-        heartbeatTick("run");
+        clock_.tick();
         if (!cs.done &&
             cs.instructions - cs.startInstructions >= instructions) {
             cs.done = true;
@@ -248,18 +246,6 @@ CmpSim::run(std::uint64_t instructions)
             --remaining;
         }
     }
-}
-
-void
-CmpSim::setHeartbeat(std::uint64_t every, std::string label)
-{
-    heartbeatEvery_ = every;
-    heartbeatLabel_ = std::move(label);
-    heartbeatTick_ = 0;
-    heartbeatSeq_ = 0;
-    heartbeatLastInstrs_ = 0;
-    heartbeatLastAccesses_ = 0;
-    heartbeatLastTime_ = std::chrono::steady_clock::now();
 }
 
 void
@@ -287,151 +273,6 @@ CmpSim::registerLiveStats(StatsRegistry &reg) const
 
     reg.addGauge("sim.cycle",
                  [this] { return static_cast<double>(now()); });
-    reg.addCounter("sim.heartbeats", &heartbeatSeq_);
-}
-
-namespace {
-
-/** Append a JSON number, mapping non-finite values to null. */
-void
-appendRate(std::string &out, double v)
-{
-    if (!std::isfinite(v)) {
-        out += "null";
-        return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    out += buf;
-}
-
-} // namespace
-
-void
-CmpSim::emitHeartbeat(const char *phase)
-{
-    ++heartbeatSeq_;
-    const auto now_t = std::chrono::steady_clock::now();
-    const double dt =
-        std::chrono::duration<double>(now_t - heartbeatLastTime_)
-            .count();
-
-    // Accesses stepped since setHeartbeat(); the tick counter rolls
-    // over exactly at heartbeatEvery_, so the product is exact.
-    const std::uint64_t accesses = heartbeatSeq_ * heartbeatEvery_;
-    std::uint64_t instrs = 0;
-    for (const auto &cs : cores_) {
-        instrs += cs.instructions;
-    }
-
-    // A zero-elapsed interval (coarse clock, or beats closer than
-    // its resolution) has no defined rate. Emit nulls and keep the
-    // window open — the next beat computes its rate over the
-    // combined interval instead of dividing by zero.
-    const bool timed = dt > 0.0;
-    const double acc_per_s =
-        timed ? static_cast<double>(accesses -
-                                    heartbeatLastAccesses_) /
-                    dt
-              : std::numeric_limits<double>::quiet_NaN();
-    const double instr_per_s =
-        timed
-            ? static_cast<double>(instrs - heartbeatLastInstrs_) / dt
-            : std::numeric_limits<double>::quiet_NaN();
-    if (timed) {
-        heartbeatLastTime_ = now_t;
-        heartbeatLastAccesses_ = accesses;
-        heartbeatLastInstrs_ = instrs;
-    }
-
-    std::string line = "{\"heartbeat\":";
-    line += std::to_string(heartbeatSeq_);
-    line += ",\"phase\":\"";
-    line += phase;
-    line += "\",\"label\":\"";
-    line += JsonWriter::escape(heartbeatLabel_);
-    line += "\",\"accesses\":";
-    line += std::to_string(accesses);
-    line += ",\"instructions\":";
-    line += std::to_string(instrs);
-    line += ",\"acc_per_s\":";
-    appendRate(line, acc_per_s);
-    line += ",\"instr_per_s\":";
-    appendRate(line, instr_per_s);
-    line += ",\"parts\":[";
-    for (PartId p = 0; p < l2_->numPartitions(); ++p) {
-        if (p != 0) {
-            line += ',';
-        }
-        line += "{\"target\":";
-        line += std::to_string(l2_->targetSize(p));
-        line += ",\"actual\":";
-        line += std::to_string(l2_->actualSize(p));
-        line += '}';
-    }
-    line += "],\"trace_dropped\":";
-    line += std::to_string(TraceSession::instance().dropped());
-    if (qos_ != nullptr) {
-        line += ",\"qos_active\":";
-        line += std::to_string(qos_->active().size());
-        line += ",\"qos_violations_total\":";
-        line += std::to_string(qos_->violationsTotal());
-    }
-    if (audit_ != nullptr) {
-        line += ",\"decisions_total\":";
-        line += std::to_string(audit_->total());
-    }
-    line += '}';
-    if (heartbeatSink_) {
-        heartbeatSink_(line);
-        return;
-    }
-    // Single fprintf so concurrent writers can't interleave inside a
-    // record.
-    std::fprintf(stderr, "%s\n", line.c_str());
-}
-
-void
-CmpSim::setHeartbeatSink(
-    std::function<void(const std::string &)> sink)
-{
-    heartbeatSink_ = std::move(sink);
-}
-
-void
-CmpSim::attachQos(QosEngine *qos, StatsRegistry *reg,
-                  std::uint64_t every)
-{
-    qos_ = (reg != nullptr && every != 0) ? qos : nullptr;
-    qosReg_ = reg;
-    qosEvery_ = every;
-    qosTickCtr_ = 0;
-}
-
-void
-CmpSim::attachAudit(DecisionAudit *audit)
-{
-    Cache *const mono = l2_->monoCache();
-    if (mono == nullptr) {
-        if (audit != nullptr) {
-            warn("decision audit is mono-L2 only; banked L2 decisions "
-                 "are not recorded");
-        }
-        return;
-    }
-    audit_ = audit;
-    mono->scheme().attachAudit(audit);
-}
-
-void
-CmpSim::stepQos()
-{
-    // Deterministic epoch clock: the snapshot timestamp is the epoch
-    // number, not wall time, so rates are per-epoch and identical
-    // across runs.
-    ++qosEpoch_;
-    qos_->step(takeSnapshot(*qosReg_, qosEpoch_,
-                            static_cast<double>(qosEpoch_)));
 }
 
 const CoreResult &
@@ -494,6 +335,16 @@ CmpSim::now() const
         best = std::max(best, cs.cycle);
     }
     return best;
+}
+
+std::uint64_t
+CmpSim::instructions() const
+{
+    std::uint64_t total = 0;
+    for (const auto &cs : cores_) {
+        total += cs.instructions;
+    }
+    return total;
 }
 
 } // namespace vantage

@@ -21,13 +21,12 @@
 #ifndef VANTAGE_SIM_CMP_SIM_H_
 #define VANTAGE_SIM_CMP_SIM_H_
 
-#include <chrono>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/shared_l2.h"
+#include "obs/epoch_clock.h"
 #include "sim/cmp_config.h"
 #include "sim/core_heap.h"
 #include "stats/histogram.h"
@@ -35,9 +34,6 @@
 #include "workload/app_model.h"
 
 namespace vantage {
-
-class DecisionAudit;
-class QosEngine;
 
 /** Per-core results after a measured run. */
 struct CoreResult
@@ -142,24 +138,22 @@ class CmpSim
     /** Current global cycle (max over cores). */
     Cycle now() const;
 
-    /**
-     * Emit a single-line JSON progress record ("heartbeat") to stderr
-     * every `every` memory accesses stepped, tagged with `label`.
-     * Records carry accesses/instructions done, sim-loop rates,
-     * per-partition target/actual sizes and trace drop counts.
-     * Observational only — results and digests are unaffected.
-     * `every` = 0 disables.
-     */
-    void setHeartbeat(std::uint64_t every, std::string label);
+    /** Instructions retired by all cores so far, warmup included. */
+    std::uint64_t instructions() const;
+
+    /** The phase being stepped: "warmup" or "run". */
+    const char *phase() const { return phase_; }
 
     /**
-     * Route heartbeat records to `sink` instead of stderr (one
-     * complete JSON line per call, no trailing newline). Suite
-     * runners use this to interleave heartbeats cleanly with their
-     * progress display; --heartbeat-out points it at a file. Pass
-     * nullptr to restore stderr.
+     * Fire read-only `obs` (a Heartbeat, a QosStepper) every `every`
+     * accesses stepped across all cores, warmup included, after any
+     * repartition (see obs/epoch_clock.h). `obs` must outlive the runs.
      */
-    void setHeartbeatSink(std::function<void(const std::string &)> sink);
+    void
+    addObserver(EpochObserver *obs, std::uint64_t every)
+    {
+        clock_.add(obs, every);
+    }
 
     /**
      * Register live-readable state for the metrics service: per-core
@@ -173,26 +167,6 @@ class CmpSim
      * outlive this simulator.
      */
     void registerLiveStats(StatsRegistry &reg) const;
-
-    /**
-     * Attach the QoS engine: every `every` stepped accesses the
-     * engine evaluates one snapshot of `reg` (deterministic epoch
-     * numbering; synthetic snapshot clock). Both must outlive the
-     * simulation. Observational only — the engine reads the registry
-     * and never feeds back, so digests are unaffected. `every` = 0
-     * or nullptr detaches.
-     */
-    void attachQos(QosEngine *qos, StatsRegistry *reg,
-                   std::uint64_t every);
-
-    /**
-     * Attach a decision audit ring to the shared L2's scheme. Flat
-     * (mono) L2s only: a banked L2 runs one scheme per bank, and a
-     * record carries no bank, so every decision would land once per
-     * bank with that bank's sizes. Attaching to a banked L2 warns and
-     * is a no-op.
-     */
-    void attachAudit(DecisionAudit *audit);
 
     /**
      * Distribution of shared-L2 accesses between UCP reallocations
@@ -242,35 +216,6 @@ class CmpSim
 
     void buildCaches();
 
-    /** One heartbeat line; `phase` is "warmup" or "run". */
-    void emitHeartbeat(const char *phase);
-
-    /** One QoS epoch: snapshot the live registry, run the rules. */
-    void stepQos();
-
-    /** Count a stepped access toward the QoS epoch cadence. */
-    void
-    qosTick()
-    {
-        if (qos_ != nullptr && qosEvery_ != 0 &&
-            ++qosTickCtr_ >= qosEvery_) {
-            qosTickCtr_ = 0;
-            stepQos();
-        }
-    }
-
-    /** Count a stepped access toward the heartbeat cadence. */
-    void
-    heartbeatTick(const char *phase)
-    {
-        qosTick();
-        if (heartbeatEvery_ != 0 &&
-            ++heartbeatTick_ >= heartbeatEvery_) {
-            heartbeatTick_ = 0;
-            emitHeartbeat(phase);
-        }
-    }
-
     CmpConfig cfg_;
     std::vector<std::unique_ptr<AccessStream>> apps_;
     std::vector<std::unique_ptr<Cache>> l1s_;
@@ -287,23 +232,9 @@ class CmpSim
     Histogram reallocGap_;
     std::uint64_t lastReallocAccesses_ = 0;
 
-    // Heartbeat state (observational only).
-    std::uint64_t heartbeatEvery_ = 0;
-    std::uint64_t heartbeatTick_ = 0;
-    std::uint64_t heartbeatSeq_ = 0;
-    std::uint64_t heartbeatLastInstrs_ = 0;
-    std::uint64_t heartbeatLastAccesses_ = 0;
-    std::string heartbeatLabel_;
-    std::chrono::steady_clock::time_point heartbeatLastTime_{};
-    std::function<void(const std::string &)> heartbeatSink_;
-
-    // QoS engine + decision audit (observational only).
-    QosEngine *qos_ = nullptr;
-    StatsRegistry *qosReg_ = nullptr;
-    std::uint64_t qosEvery_ = 0;
-    std::uint64_t qosTickCtr_ = 0;
-    std::uint64_t qosEpoch_ = 0;
-    DecisionAudit *audit_ = nullptr;
+    // Stepped accesses and the read-only observers they fire.
+    EpochClock clock_;
+    const char *phase_ = "warmup";
 };
 
 } // namespace vantage

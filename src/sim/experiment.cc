@@ -15,6 +15,7 @@
 #include "partition/way_partition.h"
 #include "replacement/lru.h"
 #include "replacement/rrip.h"
+#include "sim/heartbeat.h"
 #include "stats/registry.h"
 #include "trace/event_trace.h"
 
@@ -354,13 +355,9 @@ runMix(const CmpConfig &cfg, const L2Spec &spec,
        const MixHooks &hooks)
 {
     CmpSim sim(cfg, apps, buildL2(spec), seed);
-    if (scale.heartbeatEvery != 0) {
-        sim.setHeartbeat(scale.heartbeatEvery,
-                         mix_name + "/" + spec.name());
-        if (hooks.heartbeatSink) {
-            sim.setHeartbeatSink(hooks.heartbeatSink);
-        }
-    }
+    Heartbeat heartbeat(sim, mix_name + "/" + spec.name(),
+                        hooks.heartbeatSink);
+    sim.addObserver(&heartbeat, scale.heartbeatEvery);
 
     // Live metrics: the registry must outlive the service's view of
     // it, so it is scoped to the whole run and unregistered before
@@ -368,6 +365,7 @@ runMix(const CmpConfig &cfg, const L2Spec &spec,
     StatsRegistry live_reg;
     if (hooks.metrics != nullptr) {
         sim.registerLiveStats(live_reg);
+        heartbeat.registerMetrics(live_reg);
         hooks.metrics->addSource(
             hooks.job.empty() ? mix_name + "/" + spec.name()
                               : hooks.job,

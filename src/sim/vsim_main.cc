@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 
 #include "common/hp_alloc.h"
@@ -22,6 +23,7 @@
 #include "serve/server.h"
 #include "serve/tenant_sim.h"
 #include "sim/cli.h"
+#include "sim/heartbeat.h"
 #include "stats/registry.h"
 #include "stats/table.h"
 #include "stats/trace.h"
@@ -86,73 +88,142 @@ buildRegistry(StatsRegistry &reg, const CliOptions &opts,
 }
 
 /**
- * The --slo / --qos-out observability attachments, shared by the
- * workload, lifecycle and serve drivers: a QoS engine built from the
- * SLO spec, the decision audit ring it cross-references, and the
- * JSONL event sink. All observational — attached engines leave
- * digests bit-identical.
+ * The observers every run mode shares: the --slo / --qos-out QoS
+ * engine with its decision audit ring, the workload heartbeat, and
+ * the registry behind --metrics-port. All only read the simulation.
+ * Member order stops the metrics service before what it reads dies.
  */
-struct QosHarness
+struct ObsHarness
 {
+    using LineSink = std::function<void(const std::string &)>;
+
     std::unique_ptr<QosEngine> qos;
     std::unique_ptr<DecisionAudit> audit;
-    FILE *out = nullptr;
+    DecisionAudit *recording = nullptr; ///< `audit`, on a flat L2.
+    std::unique_ptr<QosStepper> stepper;
+    std::unique_ptr<Heartbeat> heartbeat;
+    StatsRegistry reg;
+    std::unique_ptr<MetricsService> metrics;
+    LineSink qosOut;
 
-    ~QosHarness()
+    // The QoS sink and the metrics thread hold its address.
+    ObsHarness() = default;
+    ObsHarness(const ObsHarness &) = delete;
+    ObsHarness &operator=(const ObsHarness &) = delete;
+
+    /** Writer of an append-mode JSON-lines file (closed with it). */
+    static LineSink
+    openLines(const std::string &path, const char *flag)
     {
-        if (out != nullptr) {
-            std::fclose(out);
+        std::shared_ptr<FILE> f(std::fopen(path.c_str(), "a"),
+                                [](FILE *p) { std::fclose(p); });
+        if (!f) {
+            fatal("cannot open %s file %s", flag, path.c_str());
         }
+        return [f](const std::string &line) {
+            std::fprintf(f.get(), "%s\n", line.c_str());
+            std::fflush(f.get());
+        };
     }
 
-    bool enabled() const { return qos != nullptr; }
-
+    /**
+     * With --slo or --qos-out, step a QoS engine every --epoch
+     * accesses of `sim` and record `l2`'s decisions; fill the
+     * registry when QoS or --metrics-port reads it.
+     */
+    template <class Sim>
     void
-    build(const CliOptions &opts)
+    attach(const CliOptions &opts, Sim &sim, SharedL2 &l2)
     {
-        if (opts.sloSpec.empty() && opts.qosOut.empty()) {
-            return;
-        }
-        QosConfig cfg;
-        std::string error;
-        if (!opts.sloSpec.empty() &&
-            !parseSloSpec(opts.sloSpec, cfg, error)) {
-            fatal("--slo: %s", error.c_str());
-        }
-        qos = std::make_unique<QosEngine>(cfg);
-        audit = std::make_unique<DecisionAudit>();
-        if (!opts.qosOut.empty()) {
-            out = std::fopen(opts.qosOut.c_str(), "a");
-            if (out == nullptr) {
-                fatal("cannot open --qos-out file %s",
-                      opts.qosOut.c_str());
+        if (!opts.sloSpec.empty() || !opts.qosOut.empty()) {
+            QosConfig cfg;
+            std::string error;
+            if (!opts.sloSpec.empty() &&
+                !parseSloSpec(opts.sloSpec, cfg, error)) {
+                fatal("--slo: %s", error.c_str());
+            }
+            qos = std::make_unique<QosEngine>(cfg);
+            audit = std::make_unique<DecisionAudit>();
+            if (!opts.qosOut.empty()) {
+                qosOut = openLines(opts.qosOut, "--qos-out");
             }
             qos->setSink([this](const QosEvent &ev) {
-                std::fprintf(out, "%s\n", qosEventJson(ev).c_str());
-                std::fflush(out);
-            });
-        } else {
-            qos->setSink([](const QosEvent &ev) {
-                std::fprintf(stderr, "vsim: qos %s\n",
-                             qosEventJson(ev).c_str());
+                if (qosOut) {
+                    qosOut(qosEventJson(ev));
+                } else {
+                    std::fprintf(stderr, "vsim: qos %s\n",
+                                 qosEventJson(ev).c_str());
+                }
             });
         }
-    }
-
-    /** SLO violation + decision counters for the live endpoint. */
-    void
-    registerMetrics(StatsRegistry &reg)
-    {
+        if (qos || opts.metricsPort >= 0) {
+            sim.registerLiveStats(reg);
+        }
         if (qos) {
             qos->registerMetrics(reg, "vantage.slo");
             audit->registerMetrics(reg, "vantage.decision");
+            stepper = std::make_unique<QosStepper>(*qos, reg);
+            sim.addObserver(stepper.get(), opts.epochAccesses);
+            recording = attachAudit(l2, audit.get()) ? audit.get()
+                                                      : nullptr;
         }
     }
 
-    /** End-of-run summary line and the audit tail to --qos-out. */
+    /**
+     * --heartbeat / --heartbeat-out (a file alone beats every 1M
+     * accesses). After attach(): a beat due on a QoS epoch then
+     * reports that epoch.
+     */
+    void
+    attachHeartbeat(const CliOptions &opts, CmpSim &sim)
+    {
+        std::uint64_t every = opts.scale.heartbeatEvery;
+        LineSink sink;
+        if (!opts.heartbeatOut.empty()) {
+            every = every != 0 ? every : 1'000'000;
+            sink = openLines(opts.heartbeatOut, "--heartbeat-out");
+        }
+        heartbeat = std::make_unique<Heartbeat>(
+            sim, opts.l2.name(), sink, qos.get(), recording);
+        heartbeat->registerMetrics(reg);
+        sim.addObserver(heartbeat.get(), every);
+    }
+
+    /** Serve the (complete) registry on --metrics-port as `job`. */
+    void
+    serveMetrics(const CliOptions &opts, const std::string &job)
+    {
+        if (opts.metricsPort < 0) {
+            return;
+        }
+        metrics = std::make_unique<MetricsService>(MetricsServiceConfig{
+            .port = static_cast<std::uint16_t>(opts.metricsPort),
+            .epochMillis = opts.metricsPeriodMs});
+        std::string error;
+        if (!metrics->start(error)) {
+            fatal("cannot start metrics service: %s", error.c_str());
+        }
+        metrics->addSource(job, &reg);
+        std::fprintf(
+            stderr,
+            "vsim: metrics listening on http://127.0.0.1:%d/metrics\n",
+            metrics->port());
+    }
+
+    /** Stop the metrics service; QoS summary and audit tail. */
     void
     finish()
     {
+        if (metrics) {
+            std::fprintf(stderr,
+                         "vsim: metrics served %llu scrapes over %llu "
+                         "epochs\n",
+                         static_cast<unsigned long long>(
+                             metrics->scrapes()),
+                         static_cast<unsigned long long>(
+                             metrics->epochs()));
+            metrics->stop();
+        }
         if (!qos) {
             return;
         }
@@ -165,26 +236,13 @@ struct QosHarness
                     static_cast<unsigned long long>(
                         qos->epochsSeen()),
                     static_cast<unsigned long long>(audit->total()));
-        if (out != nullptr) {
+        if (qosOut) {
             for (const DecisionRecord &rec : audit->tail(64)) {
-                std::fprintf(out, "%s\n", decisionJson(rec).c_str());
+                qosOut(decisionJson(rec));
             }
-            std::fflush(out);
         }
     }
 };
-
-/** The --serve / --lifecycle configuration, from the CLI options. */
-JournalHeader
-serveHeader(const CliOptions &opts)
-{
-    JournalHeader hdr;
-    hdr.spec = opts.l2;
-    hdr.maxTenants = opts.maxTenants;
-    hdr.epochAccesses = opts.epochAccesses;
-    hdr.useUcp = opts.machine.useUcp;
-    return hdr;
-}
 
 void
 printDigest(std::uint64_t digest)
@@ -208,80 +266,38 @@ runReplay(const CliOptions &opts)
     return 0;
 }
 
-/** vsim --lifecycle N: the synthetic tenant-churn scenario. */
+/**
+ * vsim --lifecycle N (the synthetic tenant-churn scenario) or
+ * --serve PORT (the tenant daemon): one journaled TenantSim session.
+ */
 int
-runLifecycle(const CliOptions &opts)
+runTenants(const CliOptions &opts)
 {
-    const JournalHeader hdr = serveHeader(opts);
-    std::unique_ptr<JournalWriter> journal;
-    if (!opts.serveJournal.empty()) {
-        journal = std::make_unique<JournalWriter>(opts.serveJournal,
-                                                  hdr);
-    }
-    TenantSim sim(hdr);
-    QosHarness qos;
-    qos.build(opts);
-    StatsRegistry qos_reg;
-    if (qos.enabled()) {
-        sim.registerLiveStats(qos_reg);
-        qos.registerMetrics(qos_reg);
-        sim.attachQos(qos.qos.get(), &qos_reg);
-        sim.attachAudit(qos.audit.get());
-    }
-    const std::uint64_t digest = runLifecycleScenario(
-        sim, hdr, opts.lifecycleAccesses, journal.get());
-    journal.reset();
-    qos.finish();
-    printDigest(digest);
-    return 0;
-}
-
-/** vsim --serve: the tenant daemon. */
-int
-runServe(const CliOptions &opts)
-{
-    const JournalHeader hdr = serveHeader(opts);
+    JournalHeader hdr;
+    hdr.spec = opts.l2;
+    hdr.maxTenants = opts.maxTenants;
+    hdr.epochAccesses = opts.epochAccesses;
+    hdr.useUcp = opts.machine.useUcp;
     TenantSim sim(hdr);
     std::unique_ptr<JournalWriter> journal;
     if (!opts.serveJournal.empty()) {
         journal = std::make_unique<JournalWriter>(opts.serveJournal,
                                                   hdr);
     }
-
-    // QoS / audit and the live Prometheus endpoint share one
-    // registry. The registry must be fully built before the metrics
-    // sampler thread starts, and the service is stopped before the
-    // sim is torn down.
-    QosHarness qos;
-    qos.build(opts);
-    StatsRegistry live_reg;
-    if (qos.enabled() || opts.metricsPort >= 0) {
-        sim.registerLiveStats(live_reg);
-        qos.registerMetrics(live_reg);
-    }
-    if (qos.enabled()) {
-        sim.attachQos(qos.qos.get(), &live_reg);
-        sim.attachAudit(qos.audit.get());
-    }
-    std::unique_ptr<MetricsService> metrics;
-    if (opts.metricsPort >= 0) {
-        MetricsServiceConfig mcfg;
-        mcfg.port = static_cast<std::uint16_t>(opts.metricsPort);
-        mcfg.epochMillis = opts.metricsPeriodMs;
-        metrics = std::make_unique<MetricsService>(mcfg);
-        std::string merror;
-        if (!metrics->start(merror)) {
-            fatal("cannot start metrics service: %s",
-                  merror.c_str());
-        }
-        metrics->addSource("vsim-serve", &live_reg);
-        std::fprintf(
-            stderr,
-            "vsim: metrics listening on http://127.0.0.1:%d/metrics\n",
-            metrics->port());
+    ObsHarness obs;
+    obs.attach(opts, sim, sim.l2());
+    if (opts.lifecycleAccesses > 0) {
+        const std::uint64_t digest = runLifecycleScenario(
+            sim, hdr, opts.lifecycleAccesses, journal.get());
+        journal.reset();
+        obs.finish();
+        printDigest(digest);
+        return 0;
     }
 
-    ServeServer server(sim, journal.get());
+    obs.serveMetrics(opts, "vsim-serve");
+    ServeServer server(sim, journal.get(), obs.qos.get(),
+                       obs.recording);
     std::string error;
     if (!server.start(static_cast<std::uint16_t>(opts.servePort),
                       error)) {
@@ -291,16 +307,7 @@ runServe(const CliOptions &opts)
                  server.port());
     server.run();
     journal.reset();
-    if (metrics) {
-        std::fprintf(stderr,
-                     "vsim: metrics served %llu scrapes over %llu "
-                     "epochs\n",
-                     static_cast<unsigned long long>(
-                         metrics->scrapes()),
-                     static_cast<unsigned long long>(
-                         metrics->epochs()));
-        metrics->stop();
-    }
+    obs.finish();
 
     InvariantReport rep;
     sim.checkInvariants(rep);
@@ -313,7 +320,6 @@ runServe(const CliOptions &opts)
                  static_cast<unsigned long long>(
                      server.framesProcessed()),
                  static_cast<unsigned long long>(sim.accesses()));
-    qos.finish();
     printDigest(sim.finishDigest());
     return 0;
 }
@@ -342,11 +348,8 @@ main(int argc, char **argv)
     if (!opts.replayPath.empty()) {
         return runReplay(opts);
     }
-    if (opts.lifecycleAccesses > 0) {
-        return runLifecycle(opts);
-    }
-    if (opts.servePort >= 0) {
-        return runServe(opts);
+    if (opts.lifecycleAccesses > 0 || opts.servePort >= 0) {
+        return runTenants(opts);
     }
 
     // Arm event tracing before any instrumented code runs.
@@ -444,65 +447,13 @@ main(int argc, char **argv)
         sim->sharedL2().enableHistograms();
     }
 
-    // Heartbeats: --heartbeat-out routes the records to a file and
-    // implies a default cadence when --heartbeat was not given.
-    FILE *heartbeat_file = nullptr;
-    std::uint64_t heartbeat_every = opts.scale.heartbeatEvery;
-    if (!opts.heartbeatOut.empty() && heartbeat_every == 0) {
-        heartbeat_every = 1'000'000;
-    }
-    if (heartbeat_every != 0) {
-        sim->setHeartbeat(heartbeat_every, opts.l2.name());
-        if (!opts.heartbeatOut.empty()) {
-            heartbeat_file = std::fopen(opts.heartbeatOut.c_str(),
-                                        "a");
-            if (heartbeat_file == nullptr) {
-                fatal("cannot open --heartbeat-out file %s",
-                      opts.heartbeatOut.c_str());
-            }
-            sim->setHeartbeatSink(
-                [heartbeat_file](const std::string &line) {
-                    std::fprintf(heartbeat_file, "%s\n",
-                                 line.c_str());
-                    std::fflush(heartbeat_file);
-                });
-        }
-    }
-
-    // QoS engine + decision audit (--slo / --qos-out): evaluated
-    // every --epoch accesses over the live-introspection registry.
-    // Live metrics endpoint (--metrics-port). The registry must be
-    // fully built before the service's sampler thread starts, and
-    // both must be torn down before the sim (declaration order
-    // handles the service; it stops its threads in the destructor).
-    QosHarness qos;
-    qos.build(opts);
-    StatsRegistry live_reg;
-    if (opts.metricsPort >= 0 || qos.enabled()) {
-        sim->registerLiveStats(live_reg);
-        qos.registerMetrics(live_reg);
-    }
-    if (qos.enabled()) {
-        sim->attachQos(qos.qos.get(), &live_reg, opts.epochAccesses);
-        sim->attachAudit(qos.audit.get());
-    }
-    std::unique_ptr<MetricsService> metrics;
-    if (opts.metricsPort >= 0) {
-        MetricsServiceConfig mcfg;
-        mcfg.port = static_cast<std::uint16_t>(opts.metricsPort);
-        mcfg.epochMillis = opts.metricsPeriodMs;
-        metrics = std::make_unique<MetricsService>(mcfg);
-        std::string merror;
-        if (!metrics->start(merror)) {
-            fatal("cannot start metrics service: %s",
-                  merror.c_str());
-        }
-        metrics->addSource("vsim/" + opts.l2.name(), &live_reg);
-        std::fprintf(
-            stderr,
-            "vsim: metrics listening on http://127.0.0.1:%d/metrics\n",
-            metrics->port());
-    }
+    // QoS, audit, heartbeat and the live endpoint. Observers fire in
+    // registration order; the registry is complete before the
+    // metrics sampler thread starts reading it.
+    ObsHarness obs;
+    obs.attach(opts, *sim, sim->sharedL2());
+    obs.attachHeartbeat(opts, *sim);
+    obs.serveMetrics(opts, "vsim/" + opts.l2.name());
 
     {
         // When tracing, run the sim phases as pool jobs on a
@@ -623,19 +574,6 @@ main(int argc, char **argv)
         }
     }
 
-    qos.finish();
-    if (metrics) {
-        std::fprintf(stderr,
-                     "vsim: metrics served %llu scrapes over %llu "
-                     "epochs\n",
-                     static_cast<unsigned long long>(
-                         metrics->scrapes()),
-                     static_cast<unsigned long long>(
-                         metrics->epochs()));
-        metrics->stop();
-    }
-    if (heartbeat_file != nullptr) {
-        std::fclose(heartbeat_file);
-    }
+    obs.finish();
     return 0;
 }

@@ -6,8 +6,8 @@
  * The digest is the bank-major merge of the per-bank streams, so any
  * drift in routing, per-bank replacement, allocation replication or
  * the merge order shows up here. The Vantage-DRRIP run is the only
- * coverage of BankedCache::applyBrrip through CmpSim: the CLI's UCP
- * uses LRU monitors, and dueling needs RRIP ones.
+ * coverage of BankedCache::applyBrrip through CmpSim: no banked
+ * golden runs Vantage-DRRIP.
  */
 
 #include <gtest/gtest.h>
@@ -48,9 +48,6 @@ runBanked(SchemeKind scheme, std::uint32_t banks)
 {
     CmpConfig cfg = CmpConfig::small4Core();
     cfg.repartitionCycles = 100'000; // Several reallocations.
-    if (scheme == SchemeKind::VantageDrrip) {
-        cfg.ucp.rripMonitors = true; // Dueling needs RRIP monitors.
-    }
     const auto apps = makeMix(2, 1, 0); // Mixed-sensitivity apps.
 
     CmpSim sim(cfg, apps, buildBankedL2(smallBankedSpec(scheme), banks),

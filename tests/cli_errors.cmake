@@ -74,6 +74,19 @@ expect_error("banks with serve" "--banks does not apply"
     --serve 0 --banks 8)
 expect_error("banks with replay" "--banks does not apply"
     --replay /tmp/nope.journal --banks 8)
+# Observability options a tenant mode would silently drop are
+# refused too, naming the mode: one case per flag family.
+expect_error("heartbeat with lifecycle"
+    "--heartbeat does not apply to --lifecycle"
+    --lifecycle 20000 --heartbeat 1000)
+expect_error("stats export with serve"
+    "--stats-out does not apply to --serve"
+    --serve 0 --stats-out /tmp/nope.json)
+expect_error("metrics port with lifecycle"
+    "--metrics-port does not apply to --lifecycle"
+    --lifecycle 20000 --metrics-port 0)
+expect_error("slo with replay" "--slo does not apply to --replay"
+    --replay /tmp/nope.journal --slo slack=0.1)
 expect_error("journal without mode"
     "--serve-journal requires --serve or --lifecycle"
     --serve-journal /tmp/nope.journal)

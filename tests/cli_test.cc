@@ -323,5 +323,45 @@ TEST(Cli, BanksRejectedByTenantModes)
     }
 }
 
+TEST(Cli, TenantModesRefuseFlagsTheyDrop)
+{
+    // Each option is refused by name, naming the mode, where the
+    // tenant simulator would otherwise ignore it.
+    using Args = std::vector<std::string>;
+    const Args serve = {"--serve", "0"};
+    const Args replay = {"--replay", "/tmp/none.journal"};
+    const Args lifecycle = {"--lifecycle", "20000"};
+    const auto with = [](Args mode, const Args &flag) {
+        mode.insert(mode.end(), flag.begin(), flag.end());
+        return mode;
+    };
+    const auto refused = [&](const Args &mode, const Args &flag) {
+        const std::string err = parseErr(with(mode, flag));
+        EXPECT_NE(err.find(flag[0] + " does not apply to " + mode[0]),
+                  std::string::npos)
+            << flag[0] << " under " << mode[0] << ": " << err;
+    };
+    for (const Args &mode : {serve, replay, lifecycle}) {
+        for (const Args &flag :
+             {Args{"--heartbeat", "1000"},
+              Args{"--heartbeat-out", "hb.log"},
+              Args{"--stats-out", "s.json"},
+              Args{"--trace-out", "t.csv"},
+              Args{"--events-out", "e.json"}}) {
+            refused(mode, flag);
+        }
+    }
+    const Args metrics = {"--metrics-port", "0"};
+    EXPECT_EQ(parseOk(with(serve, metrics)).metricsPort, 0);
+    refused(replay, metrics);
+    refused(lifecycle, metrics);
+    for (const Args &flag :
+         {Args{"--slo", "slack=0.1"}, Args{"--qos-out", "q.jsonl"}}) {
+        parseOk(with(serve, flag));
+        parseOk(with(lifecycle, flag));
+        refused(replay, flag);
+    }
+}
+
 } // namespace
 } // namespace vantage

@@ -351,7 +351,7 @@ TEST(QosAcceptance, TargetShrinkRaisesSlackWithAuditCause)
     CmpSim sim(machine, makeMix(0, 1, 0), buildL2(spec));
 
     DecisionAudit audit;
-    sim.attachAudit(&audit);
+    ASSERT_TRUE(attachAudit(sim.sharedL2(), &audit));
     StatsRegistry reg;
     sim.registerLiveStats(reg);
 

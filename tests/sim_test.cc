@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "core/model.h"
+#include "obs/audit.h"
+#include "obs/qos.h"
 #include "sim/experiment.h"
+#include "sim/heartbeat.h"
+#include "stats/json.h"
+#include "stats/registry.h"
 #include "workload/mixes.h"
 #include "workload/profiles.h"
 
@@ -197,6 +202,120 @@ TEST(CmpSim, VantagePartitionSizesRespectTargets)
         EXPECT_LT(static_cast<double>(stats.evictionsFromManaged) /
                       static_cast<double>(stats.evictions),
                   0.25);
+    }
+}
+
+/** Heartbeat lines of one small CmpSim run, parsed. */
+struct HeartbeatRun
+{
+    std::vector<JsonValue> beats;
+    std::size_t warmupBeats = 0;
+};
+
+HeartbeatRun
+runWithHeartbeat(bool with_qos, bool with_audit)
+{
+    const CmpConfig cfg = tinyMachine();
+    CmpSim sim(cfg, makeMix(3, 1, 1),
+               buildL2(specFor(SchemeKind::Vantage, ArrayKind::Z4_52,
+                               4, cfg.l2Lines())));
+    QosConfig qcfg;
+    qcfg.def.slackFrac = 0.01; // Tight enough to raise violations.
+    QosEngine qos(qcfg);
+    DecisionAudit audit;
+    StatsRegistry reg;
+    sim.registerLiveStats(reg);
+    QosStepper stepper(qos, reg);
+    if (with_qos) {
+        sim.addObserver(&stepper, 5'000);
+    }
+    if (with_audit) {
+        EXPECT_TRUE(attachAudit(sim.sharedL2(), &audit));
+    }
+    std::vector<std::string> lines;
+    Heartbeat heartbeat(
+        sim, "contract",
+        [&lines](const std::string &line) { lines.push_back(line); },
+        with_qos ? &qos : nullptr, with_audit ? &audit : nullptr);
+    sim.addObserver(&heartbeat, 10'000);
+
+    HeartbeatRun out;
+    sim.warmup(5'000);
+    out.warmupBeats = lines.size();
+    sim.run(50'000);
+    for (const std::string &line : lines) {
+        std::string error;
+        out.beats.push_back(JsonValue::parse(line, error));
+        EXPECT_TRUE(error.empty()) << error << ": " << line;
+    }
+    return out;
+}
+
+TEST(CmpSim, HeartbeatContract)
+{
+    const HeartbeatRun run = runWithHeartbeat(false, false);
+    // The cadence counts accesses stepped across all cores, not per
+    // core: a 5k-per-core warmup spans nine 10k beats.
+    EXPECT_EQ(run.warmupBeats, 9u);
+    ASSERT_EQ(run.beats.size(), 41u);
+    for (std::size_t k = 0; k < run.beats.size(); ++k) {
+        const JsonValue &beat = run.beats[k];
+        ASSERT_TRUE(beat.isObject());
+        EXPECT_EQ(beat.find("heartbeat")->number,
+                  static_cast<double>(k + 1));
+        EXPECT_EQ(beat.find("accesses")->number,
+                  static_cast<double>((k + 1) * 10'000));
+        EXPECT_EQ(beat.find("phase")->str,
+                  k < run.warmupBeats ? "warmup" : "run");
+        EXPECT_EQ(beat.find("label")->str, "contract");
+        const JsonValue *parts = beat.find("parts");
+        ASSERT_NE(parts, nullptr);
+        ASSERT_TRUE(parts->isArray());
+        EXPECT_EQ(parts->array.size(), 4u);
+        EXPECT_EQ(beat.find("qos_active"), nullptr);
+        EXPECT_EQ(beat.find("qos_violations_total"), nullptr);
+        EXPECT_EQ(beat.find("decisions_total"), nullptr);
+    }
+    // Instructions retired by all cores when the first and last beats
+    // fire (pinned: a beat runs after its access is stepped).
+    EXPECT_EQ(run.beats.front().find("instructions")->number, 62877.0);
+    EXPECT_EQ(run.beats.back().find("instructions")->number, 2820174.0);
+}
+
+TEST(CmpSim, HeartbeatCarriesQosFieldsOnlyWhenAttached)
+{
+    for (const bool with_qos : {false, true}) {
+        for (const bool with_audit : {false, true}) {
+            const HeartbeatRun run =
+                runWithHeartbeat(with_qos, with_audit);
+            ASSERT_EQ(run.beats.size(), 41u);
+            for (const JsonValue &beat : run.beats) {
+                EXPECT_EQ(beat.find("qos_active") != nullptr,
+                          with_qos);
+                EXPECT_EQ(beat.find("qos_violations_total") != nullptr,
+                          with_qos);
+                EXPECT_EQ(beat.find("decisions_total") != nullptr,
+                          with_audit);
+            }
+            // Pinned: QoS steps every 5k accesses and, on an access
+            // where both are due, before the beat reads its totals.
+            const JsonValue &last = run.beats.back();
+            if (with_qos) {
+                double raised = 0.0, active = 0.0;
+                for (const JsonValue &beat : run.beats) {
+                    raised += beat.find("qos_violations_total")->number;
+                    active += beat.find("qos_active")->number;
+                }
+                EXPECT_EQ(raised, 80.0);
+                EXPECT_EQ(active, 5.0);
+                EXPECT_EQ(last.find("qos_violations_total")->number,
+                          6.0);
+                EXPECT_EQ(last.find("qos_active")->number, 0.0);
+            }
+            if (with_audit) {
+                EXPECT_EQ(last.find("decisions_total")->number, 578.0);
+            }
+        }
     }
 }
 

@@ -302,9 +302,6 @@ runDigest(SchemeKind scheme, ArrayKind array)
     spec.vantage.slack = 0.1;
 
     CmpConfig cfg = CmpConfig::small4Core();
-    if (scheme == SchemeKind::VantageDrrip) {
-        cfg.ucp.rripMonitors = true; // Dueling needs RRIP monitors.
-    }
     const auto apps = makeMix(2, 1, 0);
     CmpSim sim(cfg, apps, buildL2(spec), /*seed=*/3);
     AccessDigest digest;
