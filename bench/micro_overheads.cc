@@ -307,7 +307,7 @@ BENCHMARK(BM_BankedAccessLarge);
 // Giant-cache ("Huge") benchmarks: the metadata planes alone dwarf
 // the host LLC (the 16M-line SA16 hot plane is 256 MB; the Z4/52
 // points add cold + walk state), so every scan iteration streams
-// from DRAM. This is the regime the SIMD gathers and huge-page
+// from DRAM. This is the regime the prefetch sweeps and huge-page
 // allocations target. Construction + warm-fill is expensive at
 // these sizes, so each benchmark builds its cache once (function
 // static) and reuses it across google-benchmark's repeated timing
@@ -376,7 +376,7 @@ BENCHMARK(BM_ZWalkHuge);
 void
 BM_VantageMissHuge(benchmark::State &state)
 {
-    // Full Vantage miss handling (52-candidate walk + vectorized
+    // Full Vantage miss handling (52-candidate walk + serial
     // demotion scan) on a 4M-line Z4/52 — 256 MB modeled capacity,
     // warmed until essentially every access replaces a valid line.
     static Cache *cache = [] {

@@ -20,7 +20,6 @@
 #include "alloc/umon.h"
 #include "alloc/umon_rrip.h"
 #include "common/check.h"
-#include "obs/introspect.h"
 
 namespace vantage {
 
@@ -47,7 +46,7 @@ struct UcpConfig
 };
 
 /** Utility-based allocation policy over per-core monitors. */
-class Ucp : public Introspectable
+class Ucp
 {
   public:
     Ucp(std::uint32_t num_cores, const UcpConfig &cfg);
@@ -117,10 +116,11 @@ class Ucp : public Introspectable
      * hit counts per way (`coreN.wayW.cum_hits`, LRU monitors), or
      * the SRRIP/BRRIP duel counters for RRIP monitors. Lets an
      * operator watch the curves the Lookahead allocator is acting
-     * on while a run converges.
+     * on while a run converges. Same threading contract as
+     * PartitionScheme::registerIntrospection().
      */
-    void registerIntrospection(
-        StatsRegistry &reg, const std::string &prefix) const override;
+    void registerIntrospection(StatsRegistry &reg,
+                               const std::string &prefix) const;
 
   private:
     /** (Re)build one core's monitor with its canonical seed. */

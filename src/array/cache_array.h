@@ -98,10 +98,10 @@ class CacheArray
     explicit CacheArray(std::size_t num_lines)
         : lines_(num_lines), cold_(num_lines)
     {
-        // The SIMD scan kernels issue full-width loads from the
-        // planes; a base that is not cache-line aligned would split
-        // every vector across two hardware lines. HpArray guarantees
-        // this — the assert pins the contract.
+        // A base that is not cache-line aligned would split Line
+        // records across two hardware lines, so a scan would touch
+        // more lines than it reads. HpArray guarantees this — the
+        // assert pins the contract.
         vantage_assert(
             num_lines == 0 ||
                 (reinterpret_cast<std::uintptr_t>(lines_.data()) %
@@ -202,8 +202,9 @@ class CacheArray
 
   protected:
     // 64-byte-aligned, huge-page-advised planes (see hp_alloc.h):
-    // the hot plane is the SIMD scan target, and at giant-cache
-    // sizes both planes burn TLB entries without huge pages.
+    // the hot plane is what the miss-path scans read, and at
+    // giant-cache sizes both planes burn TLB entries without huge
+    // pages.
     HpArray<Line> lines_;
     HpArray<LineCold> cold_;
 };

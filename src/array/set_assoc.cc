@@ -42,12 +42,11 @@ SetAssocArray::lookup(Addr addr) const
     const std::uint64_t set = setOf(addr);
     memoAddr_ = addr;
     memoSet_ = set;
-    // One set is ways_ consecutive 16-byte hot lines: exactly the
-    // contiguous tag-compare the dispatched kernel vectorizes (first
-    // match wins, same as the scalar walk).
+    // One set is ways_ consecutive 16-byte hot lines; first match
+    // wins.
     const LineId base = slotOf(set, 0);
     const std::int32_t w =
-        simd::ops().findTag(lines_.data() + base, ways_, addr);
+        simd::findTag(lines_.data() + base, ways_, addr);
     return w < 0 ? kInvalidLine : base + static_cast<LineId>(w);
 }
 

@@ -83,14 +83,6 @@ void
 ZArray::wayHashAllWide(Addr addr, std::uint32_t *pos) const
 {
     const std::uint32_t *const t = walkTables_.data();
-    if (ways_ == 8) {
-        // Fully vectorized W = 8 path: one row is 8 contiguous
-        // words = exactly one 256-bit vector, so the batched hash
-        // is eight row loads XOR-folded by the dispatched kernel
-        // (scalar fallback is the same fold unrolled).
-        simd::ops().xorRows8(t, addr, pos);
-        return;
-    }
     const std::uint32_t stride = ways_;
     const std::uint32_t *row = &t[(addr & 0xff) * stride];
     for (std::uint32_t w = 0; w < stride; ++w) {
@@ -137,8 +129,8 @@ ZArray::lookup(Addr addr) const
     // interleaved tables (positions are a pure function of the
     // address, so computing them up front instead of way-by-way
     // changes nothing observable), then probe the W scattered slots
-    // with the dispatched compare kernel. Lane 0 is already known
-    // not to match, so first-match order is preserved.
+    // in way order. Way 0 is already known not to match, so
+    // first-match order is preserved.
     LineId *const memo = memoPos_.data();
     std::uint32_t pos[CandidateBuf::kCapacity];
     wayHashAll(addr, pos);
@@ -147,7 +139,7 @@ ZArray::lookup(Addr addr) const
         memo[w] = static_cast<LineId>(base + pos[w]);
     }
     const std::int32_t w =
-        simd::ops().findTagAt(lines_.data(), memo, ways_, addr);
+        simd::findTagAt(lines_.data(), memo, ways_, addr);
     if (w >= 0) {
         // Hit: don't let candidates() reuse the memo — by the next
         // miss it may describe a different address.

@@ -55,6 +55,9 @@ class ZArray : public CacheArray
         return static_cast<std::uint32_t>(slot >> wayShift_);
     }
 
+    /** Slot of `addr` in way `w`. */
+    LineId positionIn(std::uint32_t w, Addr addr) const;
+
     /**
      * Every valid line must sit at its own way-hash position, and no
      * address may be resident twice (a relocation bug would violate
@@ -71,9 +74,6 @@ class ZArray : public CacheArray
     }
 
   private:
-    /** Slot of `addr` in way `w`. */
-    LineId positionIn(std::uint32_t w, Addr addr) const;
-
     /**
      * Hash `addr` into [0, linesPerWay_) with way `w`'s function:
      * 8 byte-indexed lookups in that way's premasked table, XORed.
@@ -105,7 +105,7 @@ class ZArray : public CacheArray
      *
      * The W = 4 body must stay straight-line code with no reachable
      * calls wherever the walk loop inlines it: a call on any path —
-     * even a never-taken branch to the dispatched W = 8 kernel —
+     * even a never-taken branch to the out-of-line wide hash —
      * poisons register allocation in the surrounding BFS loop, which
      * measured as a ~50% regression on the whole candidates() walk
      * for Z4 geometries that never took the branch. The walk
@@ -153,9 +153,9 @@ class ZArray : public CacheArray
         pos[3] = p3 ^ r[3];
     }
 
-    /** Out-of-line W != 4 batched hash: vectorized W = 8, generic
-     *  strided fold otherwise. See wayHashAll() for why this must
-     *  not live in an inline body. */
+    /** Out-of-line W != 4 batched hash: a strided fold over the
+     *  interleaved rows. See wayHashAll() for why this must not
+     *  live in an inline body. */
     void wayHashAllWide(Addr addr, std::uint32_t *pos) const;
 
     /** Geometry-specialized walk body (see wayHashAll()). */

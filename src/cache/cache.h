@@ -112,7 +112,8 @@ class Cache
      * Unlike registerStats() this does NOT chain the scheme — the
      * caller registers it separately (typically under a top-level
      * "vantage" prefix) so the exporter-facing metric names stay
-     * flat. See obs/introspect.h for the threading contract.
+     * flat. Threading contract as in
+     * PartitionScheme::registerIntrospection().
      */
     void registerIntrospection(StatsRegistry &reg,
                                const std::string &prefix) const;

@@ -12,9 +12,8 @@
  * aggregate sizes and stats, digest attachment, and the stats/
  * introspection exports. MonoL2 adapts a flat Cache with zero
  * behavior change — every virtual forwards to the exact call the
- * simulator used to make — which is what keeps the 13 pinned golden
- * digests (all mono configurations) bit-identical across this
- * refactor.
+ * simulator used to make — which is what keeps the flat-L2 golden
+ * digests (tests/golden/digests.txt) bit-identical through it.
  */
 
 #ifndef VANTAGE_CACHE_SHARED_L2_H_

@@ -2,13 +2,12 @@
  * @file
  * Aligned, huge-page-advised plane allocation.
  *
- * The hot and cold line planes are scanned with SIMD kernels that
- * issue full-width loads; a plane whose base is not 64-byte aligned
- * silently splits those loads across hardware cache lines. At
- * giant-cache sizes (256 MB+ of metadata) the planes additionally
- * thrash the TLB with 4 KB pages, so allocations large enough to hold
- * at least one huge page are 2 MB-aligned and advised with
- * madvise(MADV_HUGEPAGE). Everything degrades gracefully: if the
+ * The hot and cold line planes are scanned on every miss; a plane
+ * whose base is not 64-byte aligned silently splits line records
+ * across hardware cache lines. At giant-cache sizes (256 MB+ of
+ * metadata) the planes additionally thrash the TLB with 4 KB pages,
+ * so allocations large enough to hold at least one huge page are
+ * 2 MB-aligned and advised with madvise(MADV_HUGEPAGE). Everything degrades gracefully: if the
  * kernel declines the advice (or the platform lacks madvise), the
  * allocation is still a perfectly valid 64-byte-aligned plane.
  *

@@ -478,146 +478,57 @@ VantageController::selectVictim(CacheArray &array, PartId inserting,
     const std::uint32_t cands_per_adjust = cfg_.candsPerAdjust;
     EmpiricalCdf *const cdf = demotionCdf_;
     const PartId cdf_part = demotionCdfPart_;
+    const bool base_rule = fastDemote_;
     const std::uint32_t n = cands.size();
+    simd::prefetchLines(lines, cv, n);
 
-    if (fastDemote_) {
-        // Vectorized demotion pass over the hot SoA plane. Arrays
-        // emit each slot at most once per candidate list, so one
-        // up-front gather of {valid, part, rank} (classify) reads
-        // exactly what the serial loop would have read lane by lane —
-        // selectVictim itself is the only mutator while it runs, and
-        // demote() only touches the lane being processed. The managed
-        // lanes must still commit their side effects (candsSeen,
-        // demotions, setpoint moves) serially in index order, because
-        // each demotion can change the keep window the NEXT candidate
-        // of that partition is judged against; the unmanaged-age fold
-        // between two managed lanes is order-free because the
-        // unmanaged timestamp only ticks inside demote(). See
-        // DESIGN.md §15 for the full bit-identity argument.
-        std::uint32_t parts[CandidateBuf::kCapacity];
-        std::uint8_t ranks[CandidateBuf::kCapacity];
-        std::uint64_t valid_mask = 0;
-        std::uint64_t unmanaged_mask = 0;
-        simd::ops().classify(lines, cv, n, parts, ranks, &valid_mask,
-                             &unmanaged_mask);
-        const std::uint64_t all =
-            n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-        const std::uint64_t invalid_mask = ~valid_mask & all;
-        if (invalid_mask != 0) {
-            first_invalid = static_cast<std::int32_t>(
-                __builtin_ctzll(invalid_mask));
+    // One serial pass in candidate order (Secs. 4.2-4.3): each
+    // demotion can move the keep window the partition's next
+    // candidate is judged against, and the unmanaged timestamp only
+    // ticks inside demote().
+    for (std::uint32_t i = 0; i < n; ++i) {
+        Line &line = lines[cv[i].slot];
+        if (!line.valid()) {
+            if (first_invalid < 0) {
+                first_invalid = static_cast<std::int32_t>(i);
+            }
+            continue;
+        }
+        if (line.part == kUnmanagedPart) {
+            const std::uint32_t age =
+                modDist(line.rank, unmanagedTs_, 8);
+            if (oldest_unmanaged < 0 || age > oldest_age) {
+                oldest_unmanaged = static_cast<std::int32_t>(i);
+                oldest_age = age;
+            }
+            continue;
         }
 
-        // Fold the oldest unmanaged candidate over lanes [lo, hi)
-        // with the CURRENT unmanaged timestamp — called before each
-        // managed lane commits (and once for the final span), which
-        // reproduces the serial loop's timestamp observation order.
-        const auto fold_unmanaged = [&](std::uint32_t lo,
-                                        std::uint32_t hi) {
-            if (lo >= hi) {
-                return;
+        // Managed candidate: demotion check (Sec. 4.3). The base
+        // rule is called qualified so it inlines; variants that
+        // override the hooks clear fastDemote_.
+        const PartId p = line.part;
+        vantage_assert(p < cfg_.numPartitions,
+                       "candidate with bad partition %u", p);
+        PartState &ps = parts_[p];
+        ++ps.candsSeen;
+        const bool dem = base_rule
+                             ? VantageController::shouldDemote(p, ps, line)
+                             : shouldDemote(p, ps, line);
+        if (dem) {
+            if (cdf != nullptr && p == cdf_part) {
+                cdf->add(demotionPriority(ps, line.rank));
             }
-            std::uint64_t m = (unmanaged_mask >> lo) << lo;
-            if (hi < 64) {
-                m &= (std::uint64_t{1} << hi) - 1;
+            demote(line, p);
+            if (first_demoted < 0) {
+                first_demoted = static_cast<std::int32_t>(i);
+                first_demoted_part = p;
             }
-            const std::uint8_t uts = unmanagedTs_;
-            while (m != 0) {
-                const std::uint32_t i = static_cast<std::uint32_t>(
-                    __builtin_ctzll(m));
-                m &= m - 1;
-                const std::uint32_t age =
-                    static_cast<std::uint8_t>(uts - ranks[i]);
-                if (oldest_unmanaged < 0 || age > oldest_age) {
-                    oldest_unmanaged = static_cast<std::int32_t>(i);
-                    oldest_age = age;
-                }
-            }
-        };
-
-        std::uint64_t managed = valid_mask & ~unmanaged_mask;
-        std::uint32_t span_lo = 0;
-        while (managed != 0) {
-            const std::uint32_t i = static_cast<std::uint32_t>(
-                __builtin_ctzll(managed));
-            managed &= managed - 1;
-            fold_unmanaged(span_lo, i);
-            span_lo = i + 1;
-
-            // Managed candidate: demotion check (Sec. 4.3).
-            const PartId p = parts[i];
-            vantage_assert(p < cfg_.numPartitions,
-                           "candidate with bad partition %u", p);
-            PartState &ps = parts_[p];
-            ++ps.candsSeen;
-            const bool dem =
-                ps.actualSize > ps.targetSize &&
-                (ps.targetSize == 0 || !inKeepWindow(ps, ranks[i]));
-            if (dem) {
-                if (cdf != nullptr && p == cdf_part) {
-                    cdf->add(demotionPriority(ps, ranks[i]));
-                }
-                demote(lines[cv[i].slot], p);
-                if (first_demoted < 0) {
-                    first_demoted = static_cast<std::int32_t>(i);
-                    first_demoted_part = p;
-                }
-            }
-            if (ps.candsSeen >= cands_per_adjust) {
-                adjustSetpoint(p);
-            }
+        } else if (!base_rule) {
+            onDemotionCheckKept(p, line);
         }
-        fold_unmanaged(span_lo, n);
-    } else {
-        // Variants override the demotion hooks: keep the serial
-        // reference loop with the virtual calls.
-        for (std::uint32_t i = 0; i < n; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-            // Hide the hot-array load latency of candidate i+8
-            // behind the demotion work on candidate i.
-            if (i + 8 < n) {
-                __builtin_prefetch(&lines[cv[i + 8].slot], 0, 1);
-            }
-#endif
-            Line &line = lines[cv[i].slot];
-            if (!line.valid()) {
-                if (first_invalid < 0) {
-                    first_invalid = static_cast<std::int32_t>(i);
-                }
-                continue;
-            }
-            if (line.part == kUnmanagedPart) {
-                const std::uint32_t age =
-                    modDist(line.rank, unmanagedTs_, 8);
-                if (oldest_unmanaged < 0 || age > oldest_age) {
-                    oldest_unmanaged = static_cast<std::int32_t>(i);
-                    oldest_age = age;
-                }
-                continue;
-            }
-
-            // Managed candidate: demotion check (Sec. 4.3).
-            const PartId p = line.part;
-            vantage_assert(p < cfg_.numPartitions,
-                           "candidate with bad partition %u", p);
-            PartState &ps = parts_[p];
-            ++ps.candsSeen;
-            const bool dem = shouldDemote(p, ps, line);
-            if (dem) {
-                if (cdf != nullptr && p == cdf_part) {
-                    cdf->add(demotionPriority(ps, line.rank));
-                }
-                demote(line, p);
-                if (first_demoted < 0) {
-                    first_demoted = static_cast<std::int32_t>(i);
-                    first_demoted_part = p;
-                }
-            } else {
-                onDemotionCheckKept(p, line);
-            }
-            if (ps.candsSeen >= cands_per_adjust) {
-                adjustSetpoint(p);
-            }
+        if (ps.candsSeen >= cands_per_adjust) {
+            adjustSetpoint(p);
         }
     }
 

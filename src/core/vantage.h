@@ -339,13 +339,12 @@ class VantageController : public PartitionScheme
     void recordVantageDecision(DecisionKind kind, PartId part);
 
     /**
-     * True while the demotion decision is exactly the base
-     * controller's (setpoint window over the hot rank array):
-     * selectVictim() then runs a single flattened, branch-light pass
-     * that inlines the check instead of calling the shouldDemote /
-     * onDemotionCheckKept virtuals per candidate. Any variant that
-     * overrides either hook must clear this in its constructor to
-     * get the virtual dispatch back.
+     * True while the demotion hooks are the base controller's:
+     * selectVictim() then calls VantageController::shouldDemote()
+     * qualified, so it inlines, and skips the no-op
+     * onDemotionCheckKept(). Any variant that overrides either hook
+     * must clear this in its constructor to get the virtual calls
+     * back.
      */
     bool fastDemote_ = true;
 

@@ -13,7 +13,6 @@
 #include "common/hp_alloc.h"
 #include "common/log.h"
 #include "obs/prometheus.h"
-#include "simd/simd.h"
 #include "stats/registry.h"
 
 namespace vantage {
@@ -244,12 +243,10 @@ MetricsService::render()
             static_cast<double>(scrapes()));
     doc.add("vsim_exporter_epoch_seconds", {}, PromDoc::Type::Gauge,
             static_cast<double>(cfg_.epochMillis) / 1000.0);
-    // Which hot-path kernels this process is actually running: lets
-    // dashboards split fleets by dispatch level when comparing
-    // throughput.
+    // Whether this process got huge-page planes: lets dashboards
+    // split hosts when comparing throughput.
     doc.add("vantage_build_info",
-            {{"simd", simd::levelName()},
-             {"hugepages", hugePagesEnabled() ? "on" : "off"}},
+            {{"hugepages", hugePagesEnabled() ? "on" : "off"}},
             PromDoc::Type::Gauge, 1.0);
 
     std::ostringstream out;

@@ -24,7 +24,6 @@
 
 #include "array/cache_array.h"
 #include "obs/audit.h"
-#include "obs/introspect.h"
 
 namespace vantage {
 
@@ -40,7 +39,7 @@ struct VictimChoice
 };
 
 /** Abstract allocation-enforcement scheme. */
-class PartitionScheme : public Introspectable
+class PartitionScheme
 {
   public:
     virtual ~PartitionScheme() = default;
@@ -119,14 +118,23 @@ class PartitionScheme : public Introspectable
     }
 
     /**
-     * Default live-introspection export: per-partition target/actual
-     * sizes (gauges, in lines) plus the scheme-wide demotion counter
-     * under `prefix`. Schemes with richer internal state (Vantage's
-     * apertures, UCP's utility curves) override and extend this.
-     * See obs/introspect.h for the threading contract.
+     * Default live-introspection export for the metrics service
+     * (obs/metrics_service.h): per-partition target/actual sizes
+     * (gauges, in lines) plus the scheme-wide demotion counter under
+     * `prefix`. VantageController overrides and extends it.
+     *
+     * Unlike the post-mortem registerStats() exports, introspection
+     * entries use exporter-facing names (aperture_bp, target_lines,
+     * actual_lines, ...) so the dotted paths map to the documented
+     * Prometheus metric names, and every registered accessor must
+     * tolerate being read from a sampler thread while the owner
+     * keeps simulating: register plain counters by raw pointer
+     * (relaxed loads) and keep gauge closures to single-word reads.
+     * Called at most once per registry, before any sampler thread
+     * starts reading.
      */
-    void registerIntrospection(
-        StatsRegistry &reg, const std::string &prefix) const override;
+    virtual void registerIntrospection(StatsRegistry &reg,
+                                       const std::string &prefix) const;
 
     // ------------------------------------------------------------------
     // Dynamic partition lifecycle.

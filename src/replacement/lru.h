@@ -49,17 +49,16 @@ class ExactLru : public ReplPolicy
     }
 
     /**
-     * Same earliest-wins min fold as the generic prefer() loop, as a
-     * dispatched vector min-reduction over the cold plane (first
-     * index wins ties in every backend) — no per-candidate virtual
-     * calls on the miss path.
+     * Same earliest-wins min fold as the generic prefer() loop, as
+     * one scan over the cold plane (first index wins ties) — no
+     * per-candidate virtual calls on the miss path.
      */
     std::int32_t
     selectVictim(CacheArray &array,
                  const CandidateBuf &cands) override
     {
-        return simd::ops().minLastAccess(array.coldData(),
-                                         cands.data(), cands.size());
+        return simd::minLastAccess(array.coldData(), cands.data(),
+                                   cands.size());
     }
 
     double
@@ -109,15 +108,15 @@ class CoarseLru : public ReplPolicy
 
     /**
      * Oldest-age max fold (first wins ties), identical to the
-     * generic prefer() loop, as a dispatched vector reduction over
-     * the hot plane's rank bytes.
+     * generic prefer() loop, as one scan over the hot plane's rank
+     * bytes.
      */
     std::int32_t
     selectVictim(CacheArray &array,
                  const CandidateBuf &cands) override
     {
-        return simd::ops().oldestRank(array.linesData(), cands.data(),
-                                      cands.size(), currentTs_);
+        return simd::oldestRank(array.linesData(), cands.data(),
+                                cands.size(), currentTs_);
     }
 
     double

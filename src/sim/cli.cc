@@ -341,7 +341,8 @@ parseCli(const std::vector<std::string> &args, std::string &error)
         } else if (arg == "--repartition") {
             if (!next(value) ||
                 !parseU64(value,
-                          opts.machine.repartitionCycles)) {
+                          opts.machine.repartitionCycles) ||
+                opts.machine.repartitionCycles == 0) {
                 error = "bad --repartition value";
                 return opts;
             }

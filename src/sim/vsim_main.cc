@@ -14,7 +14,6 @@
 #include "common/hp_alloc.h"
 #include "common/log.h"
 #include "common/thread_pool.h"
-#include "simd/simd.h"
 #include "core/vantage.h"
 #include "obs/audit.h"
 #include "obs/metrics_service.h"
@@ -407,8 +406,7 @@ main(int argc, char **argv)
                      opts.scale.warmupAccesses),
                  static_cast<unsigned long long>(
                      opts.scale.instructions));
-    std::fprintf(stderr, "vsim: simd %s kernels, hugepages %s\n",
-                 simd::levelName(),
+    std::fprintf(stderr, "vsim: hugepages %s\n",
                  hugePagesEnabled() ? "on" : "off");
     if (opts.banks > 0) {
         std::fprintf(stderr, "vsim: %u banks of %llu lines\n",

@@ -1,26 +1,22 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the hot plane scans.
+ * Scan kernels for the hot plane.
  *
- * The three scans that dominate the miss path — the lookup
- * tag-compare, the Vantage demotion pass over a candidate list, and
- * the LRU victim folds — all stream over the 16-byte SoA hot plane
- * (and the 8-byte cold plane), which was laid out to be scanned with
- * vectors. This module provides AVX2 and NEON implementations of
- * those scans plus a scalar reference, selected once at startup by
- * CPU detection so one binary runs everywhere. The choice can be
- * forced with VANTAGE_SIMD=avx2|neon|scalar for parity testing.
+ * The scans that dominate the miss path — the lookup tag-compare and
+ * the LRU victim folds — stream over the 16-byte hot plane (and the
+ * 8-byte cold plane). They are plain scalar loops, inline so each
+ * caller compiles them into its own body; the Vantage demotion scan
+ * is a serial loop in VantageController::selectVictim because each
+ * demotion can move the keep window the next candidate is judged
+ * against. DESIGN.md §15 explains why the kernels are scalar.
  *
- * Every kernel is digest-neutral: for any input, every backend
- * returns exactly what the scalar reference returns (first-match /
- * first-wins tie semantics included), so victim choices — and hence
- * the pinned golden digests — are bit-identical across backends.
+ * Every kernel returns the first index on a tie (first match, first
+ * oldest), which is the order the golden digests pin.
  */
 
-#ifndef VANTAGE_SIMD_SIMD_H_
-#define VANTAGE_SIMD_SIMD_H_
+#ifndef VANTAGE_SCAN_KERNELS_H_
+#define VANTAGE_SCAN_KERNELS_H_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "array/cache_array.h"
@@ -29,99 +25,118 @@
 
 namespace vantage::simd {
 
-// The kernels address the planes with raw offset arithmetic; pin the
-// layout they assume.
-static_assert(offsetof(Line, addr) == 0 && offsetof(Line, part) == 8 &&
-                  offsetof(Line, rank) == 12 && sizeof(Line) == 16,
-              "SIMD kernels assume the {addr, part, rank} hot-line "
-              "layout");
-static_assert(sizeof(LineCold) == 8,
-              "SIMD kernels assume one qword per cold line");
-static_assert(offsetof(Candidate, slot) == 0 && sizeof(Candidate) == 8,
-              "SIMD kernels assume {slot, parent} candidate layout");
-
-/** Dispatch levels, ordered roughly by preference. */
-enum class Level : std::uint8_t { Scalar = 0, Avx2 = 1, Neon = 2 };
-
 /**
- * The dispatched kernel table. All kernels share scalar-identical
- * semantics:
- *
- * - findTag: index of the first of `n` consecutive hot lines whose
- *   tag equals `addr`, or -1 (set-associative lookup within a set).
- * - findTagAt: same, but over `n` precomputed slots into the hot
- *   plane (zcache lookup over the way positions).
- * - classify: one pass over a candidate list gathering
- *   parts[i] / ranks[i] from the hot plane and building bitmask i ->
- *   valid and i -> (part == kUnmanagedPart) summaries (the Vantage
- *   demotion pre-scan). n <= 64 so the masks fit one word.
- * - oldestRank: first index maximizing the coarse-timestamp age
- *   (ts - rank) mod 256 over a candidate list (CoarseLru fold).
- * - minLastAccess: first index minimizing the cold-plane lastAccess
- *   stamp over a candidate list (ExactLru fold).
- * - xorRows8: the W == 8 batched way hash — XOR eight 8-word rows of
- *   the interleaved walk tables into pos[0..7].
+ * Name of the kernel build, for build fingerprints. There is one:
+ * the scalar kernels below.
  */
-struct Ops
+inline const char *
+levelName()
 {
-    std::int32_t (*findTag)(const Line *lines, std::uint32_t n,
-                            Addr addr);
-    std::int32_t (*findTagAt)(const Line *lines, const LineId *slots,
-                              std::uint32_t n, Addr addr);
-    void (*classify)(const Line *lines, const Candidate *cands,
-                     std::uint32_t n, std::uint32_t *parts,
-                     std::uint8_t *ranks, std::uint64_t *valid_mask,
-                     std::uint64_t *unmanaged_mask);
-    std::int32_t (*oldestRank)(const Line *lines,
-                               const Candidate *cands, std::uint32_t n,
-                               std::uint8_t current_ts);
-    std::int32_t (*minLastAccess)(const LineCold *cold,
-                                  const Candidate *cands,
-                                  std::uint32_t n);
-    void (*xorRows8)(const std::uint32_t *walk_tables, Addr addr,
-                     std::uint32_t *pos);
-};
-
-namespace detail {
-extern const Ops *g_active;
-extern Level g_level;
-} // namespace detail
-
-/** The active kernel table (resolved once before main()). */
-inline const Ops &
-ops()
-{
-    return *detail::g_active;
+    return "scalar";
 }
 
-/** The active dispatch level. */
-inline Level
-level()
+/**
+ * Fire a prefetch for every candidate's hot line before a scan.
+ * Issuing the whole sweep up front exposes all the misses at once
+ * (a zcache candidate list touches up to 52 scattered cache lines),
+ * which buys more memory-level parallelism than a fixed-distance
+ * scan-ahead prefetch. Pure hint: no effect on results.
+ */
+inline void
+prefetchLines(const Line *lines, const Candidate *cands,
+              std::uint32_t n)
 {
-    return detail::g_level;
+    // Dense slot runs (set-associative sets) span a handful of
+    // cache lines that the hardware prefetcher handles; sweeping
+    // them costs measurable load-port pressure for nothing. Only
+    // scattered lists (zcache walks) are worth the sweep.
+    if (n < 2 || cands[n - 1].slot == cands[0].slot + (n - 1)) {
+        return;
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+        __builtin_prefetch(lines + cands[i].slot, 0, 3);
+    }
 }
 
-/** Printable name of a level ("scalar", "avx2", "neon"). */
-const char *levelName(Level level);
-
-/** Printable name of the active level. */
-const char *levelName();
+/**
+ * Index of the first of `n` consecutive hot lines whose tag equals
+ * `addr`, or -1 (set-associative lookup within a set).
+ */
+inline std::int32_t
+findTag(const Line *lines, std::uint32_t n, Addr addr)
+{
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (lines[i].addr == addr) {
+            return static_cast<std::int32_t>(i);
+        }
+    }
+    return -1;
+}
 
 /**
- * The kernel table for `level`, or nullptr when this host cannot run
- * it. Lets parity tests drive every available backend directly
- * without touching the global dispatch.
+ * Same as findTag(), over `n` precomputed slots into the hot plane
+ * (zcache lookup over the way positions).
  */
-const Ops *opsFor(Level level);
+inline std::int32_t
+findTagAt(const Line *lines, const LineId *slots, std::uint32_t n,
+          Addr addr)
+{
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (lines[slots[i]].addr == addr) {
+            return static_cast<std::int32_t>(i);
+        }
+    }
+    return -1;
+}
 
 /**
- * Force the active dispatch level (parity tests, fuzz sweeps).
- * Returns false — leaving the dispatch untouched — when the host
- * cannot run `level`. Not thread-safe: switch only while no
- * simulation threads are running.
+ * First index maximizing the coarse-timestamp age
+ * (current_ts - rank) mod 256 over a candidate list (CoarseLru fold).
  */
-bool setLevelForTest(Level level);
+inline std::int32_t
+oldestRank(const Line *lines, const Candidate *cands, std::uint32_t n,
+           std::uint8_t current_ts)
+{
+    prefetchLines(lines, cands, n);
+    std::int32_t best = 0;
+    std::uint32_t best_age = static_cast<std::uint8_t>(
+        current_ts - lines[cands[0].slot].rank);
+    for (std::uint32_t i = 1; i < n; ++i) {
+        const std::uint32_t age = static_cast<std::uint8_t>(
+            current_ts - lines[cands[i].slot].rank);
+        if (age > best_age) {
+            best = static_cast<std::int32_t>(i);
+            best_age = age;
+        }
+    }
+    return best;
+}
+
+/**
+ * First index minimizing the cold-plane lastAccess stamp over a
+ * candidate list (ExactLru fold).
+ */
+inline std::int32_t
+minLastAccess(const LineCold *cold, const Candidate *cands,
+              std::uint32_t n)
+{
+    if (n >= 2 && cands[n - 1].slot != cands[0].slot + (n - 1)) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            __builtin_prefetch(cold + cands[i].slot, 0, 3);
+        }
+    }
+    std::int32_t best = 0;
+    std::uint64_t best_la = cold[cands[0].slot].lastAccess;
+    for (std::uint32_t i = 1; i < n; ++i) {
+        const std::uint64_t la = cold[cands[i].slot].lastAccess;
+        if (la < best_la) {
+            best = static_cast<std::int32_t>(i);
+            best_la = la;
+        }
+    }
+    return best;
+}
 
 } // namespace vantage::simd
 
-#endif // VANTAGE_SIMD_SIMD_H_
+#endif // VANTAGE_SCAN_KERNELS_H_

@@ -135,18 +135,6 @@ StatsRegistry::addHistogram(const std::string &path,
 }
 
 void
-StatsRegistry::addSeries(const std::string &path,
-                         const TimeSeries *series)
-{
-    vantage_assert(series != nullptr, "null series at '%s'",
-                   path.c_str());
-    Entry e;
-    e.kind = Kind::Series;
-    e.series = series;
-    insert(path, std::move(e));
-}
-
-void
 StatsRegistry::addString(const std::string &path, std::string text)
 {
     Entry e;
@@ -240,7 +228,6 @@ StatsRegistry::forEachScalar(
             break;
           }
           case Kind::Histogram:
-          case Kind::Series:
           case Kind::String:
             break;
         }
@@ -324,22 +311,6 @@ StatsRegistry::writeEntryJson(JsonWriter &w, const Entry &e)
         w.endObject();
         break;
       }
-      case Kind::Series:
-        w.beginObject();
-        w.key("time");
-        w.beginArray();
-        for (const auto &p : e.series->points()) {
-            w.value(p.time);
-        }
-        w.endArray();
-        w.key("value");
-        w.beginArray();
-        for (const auto &p : e.series->points()) {
-            w.value(p.value);
-        }
-        w.endArray();
-        w.endObject();
-        break;
     }
 }
 
@@ -434,8 +405,6 @@ StatsRegistry::writeCsv(std::ostream &out) const
             }
             break;
           }
-          case Kind::Series:
-            break; // Series go to JSON or a trace CSV.
         }
     }
 }

@@ -27,7 +27,6 @@
 
 #include "stats/counters.h"
 #include "stats/histogram.h"
-#include "stats/timeseries.h"
 
 namespace vantage {
 
@@ -55,9 +54,6 @@ class StatsRegistry
     /** Log2-bucketed distribution: summary + bucket arrays. */
     void addHistogram(const std::string &path, const Histogram *hist);
 
-    /** Sampled (time, value) series; exported as parallel arrays. */
-    void addSeries(const std::string &path, const TimeSeries *series);
-
     /** Fixed string annotation (config names, workload labels). */
     void addString(const std::string &path, std::string text);
 
@@ -84,7 +80,7 @@ class StatsRegistry
      * Visit every scalar projection, in sorted path order:
      * counters and gauges directly, RunningStats flattened to
      * `path.count` (counter) plus `path.mean/min/max` (gauges).
-     * Histograms, series and strings are skipped — use the dedicated
+     * Histograms and strings are skipped — use the dedicated
      * visitors. `is_counter` distinguishes monotonic counts from
      * point-in-time gauges (the snapshot layer's delta semantics
      * differ).
@@ -127,8 +123,7 @@ class StatsRegistry
 
     /**
      * Export scalar entries as flat CSV rows (`path,kind,value`).
-     * RunningStats flatten to one row per summary field; series are
-     * omitted (use the JSON export or a ControllerTrace CSV).
+     * RunningStats flatten to one row per summary field.
      */
     void writeCsv(std::ostream &out) const;
 
@@ -139,7 +134,7 @@ class StatsRegistry
     void writeCsvFile(const std::string &path) const;
 
   private:
-    enum class Kind { Counter, Gauge, Stat, Histogram, Series, String };
+    enum class Kind { Counter, Gauge, Stat, Histogram, String };
 
     struct Entry
     {
@@ -151,7 +146,6 @@ class StatsRegistry
         const std::uint64_t *raw = nullptr;
         const RunningStat *stat = nullptr;
         const Histogram *hist = nullptr;
-        const TimeSeries *series = nullptr;
         std::string text;
     };
 

@@ -51,6 +51,8 @@ expect_error("unknown scheme" "unknown scheme 'zcache'"
 expect_error("flag with value" "--digest takes no value" --digest=1)
 expect_error("two workloads" "choose one of --mix / --apps / --traces"
     --mix 3 --apps libquantum)
+expect_error("zero repartition interval" "bad --repartition value"
+    --repartition 0 --mix 3 --instrs 2000 --warmup 200)
 expect_error("zero banks" "bad --banks value" --banks 0)
 expect_error("non-numeric banks" "bad --banks value" --banks lots)
 expect_error("banks out of range" "bad --banks value" --banks 2000)

@@ -240,6 +240,10 @@ TEST(Cli, Errors)
     EXPECT_NE(parseErr({"--mix", "0", "--cores", "6"})
                   .find("multiple of 4"),
               std::string::npos);
+    // A zero UCP interval would never advance the next repartition.
+    EXPECT_NE(parseErr({"--repartition", "0"})
+                  .find("bad --repartition value"),
+              std::string::npos);
 }
 
 TEST(Cli, VantageKnobRangesAreParseErrors)

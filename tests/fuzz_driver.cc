@@ -20,7 +20,7 @@
  *
  * Usage: fuzz_driver [--iters N] [--seed S] [--accesses N]
  *                    [--check-every N] [--banks N] [--lifecycle]
- *                    [--no-realloc] [--simd-compare] [--verbose]
+ *                    [--no-realloc] [--verbose]
  *
  * --lifecycle interleaves seeded partition create/destroy events
  * with the access stream: retired partitions stop receiving accesses
@@ -36,12 +36,6 @@
  * the rng sequences: `--seed S` replays the same addresses with and
  * without banking.
  *
- * --simd-compare replays each case once per available SIMD dispatch
- * level (scalar first, then every vector backend the host supports),
- * forcing the level between replays. Every vectorized kernel is
- * contractually digest-neutral, so all replays must produce the
- * scalar digest bit-for-bit.
- *
  * Exit status: 0 when every iteration holds all invariants, 1 on the
  * first (minimized) violation, 2 on usage errors.
  */
@@ -56,10 +50,8 @@
 
 #include "cache/banked_cache.h"
 #include "cache/cache.h"
-#include "common/digest.h"
 #include "common/rng.h"
 #include "sim/experiment.h"
-#include "simd/simd.h"
 
 using namespace vantage;
 
@@ -220,7 +212,7 @@ nextAddr(Rng &rng, const FuzzCase &fc, PartId part,
 std::int64_t
 runCase(const FuzzCase &fc, std::uint64_t check_every,
         bool allow_realloc, bool allow_lifecycle,
-        InvariantReport &rep, AccessDigest *digest = nullptr)
+        InvariantReport &rep)
 {
     // --banks routes everything through a BankedCache; the flat path
     // is otherwise untouched.
@@ -239,13 +231,6 @@ runCase(const FuzzCase &fc, std::uint64_t check_every,
     } else {
         cache = buildL2(fc.spec);
     }
-    if (digest != nullptr) {
-        if (banked) {
-            banked->attachDigest(digest);
-        } else {
-            cache->attachDigest(digest);
-        }
-    }
     Rng rng(fc.seed ^ 0xacce55ull);
     std::uint64_t scan_counter = 0;
 
@@ -262,12 +247,6 @@ runCase(const FuzzCase &fc, std::uint64_t check_every,
             }
         }
         return 0;
-    };
-
-    const auto finish = [&] {
-        if (digest != nullptr && banked) {
-            banked->finalizeDigest();
-        }
     };
 
     const auto check = [&](InvariantReport &r) {
@@ -360,13 +339,11 @@ runCase(const FuzzCase &fc, std::uint64_t check_every,
         if ((i + 1) % check_every == 0) {
             check(rep);
             if (!rep.ok()) {
-                finish();
                 return static_cast<std::int64_t>(i);
             }
         }
     }
     check(rep);
-    finish();
     if (!rep.ok()) {
         return static_cast<std::int64_t>(fc.accesses - 1);
     }
@@ -498,7 +475,6 @@ main(int argc, char **argv)
     std::uint64_t banks = 0;
     bool allow_realloc = true;
     bool lifecycle = false;
-    bool simd_compare = false;
     bool verbose = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -535,8 +511,6 @@ main(int argc, char **argv)
             allow_realloc = false;
         } else if (arg == "--lifecycle") {
             lifecycle = true;
-        } else if (arg == "--simd-compare") {
-            simd_compare = true;
         } else if (arg == "--verbose") {
             verbose = true;
         } else {
@@ -545,32 +519,11 @@ main(int argc, char **argv)
                          "usage: fuzz_driver [--iters N] [--seed S] "
                          "[--accesses N] [--check-every N] "
                          "[--banks N] [--lifecycle] [--no-realloc] "
-                         "[--simd-compare] [--verbose]\n",
+                         "[--verbose]\n",
                          arg.c_str());
             return 2;
         }
     }
-    // Dispatch levels to sweep in --simd-compare mode: scalar first
-    // (the reference), then whatever vector backends this host can
-    // actually run.
-    std::vector<simd::Level> sweep_levels;
-    if (simd_compare) {
-        for (const simd::Level lvl :
-             {simd::Level::Scalar, simd::Level::Avx2,
-              simd::Level::Neon}) {
-            if (simd::opsFor(lvl) != nullptr) {
-                sweep_levels.push_back(lvl);
-            }
-        }
-        if (sweep_levels.size() < 2) {
-            std::fprintf(stderr,
-                         "fuzz_driver: --simd-compare: host has only "
-                         "the scalar backend; sweep degenerates to a "
-                         "plain run\n");
-        }
-    }
-    const simd::Level startup_level = simd::level();
-
     for (std::uint64_t it = 0; it < iters; ++it) {
         const std::uint64_t seed = base_seed + it;
         FuzzCase fc = makeCase(seed, accesses);
@@ -587,56 +540,6 @@ main(int argc, char **argv)
                          fc.describe().c_str());
         }
         InvariantReport rep;
-        if (simd_compare) {
-            // SIMD sweep: replay the identical case once per dispatch
-            // level. The scalar replay (always first) pins the
-            // reference digest; every vector backend must match it
-            // bit-for-bit.
-            std::uint64_t ref_digest = 0;
-            for (std::size_t li = 0; li < sweep_levels.size(); ++li) {
-                const simd::Level lvl = sweep_levels[li];
-                if (!simd::setLevelForTest(lvl)) {
-                    continue;
-                }
-                AccessDigest digest;
-                const std::int64_t bad =
-                    runCase(fc, check_every, allow_realloc, true, rep,
-                            &digest);
-                if (bad >= 0) {
-                    simd::setLevelForTest(startup_level);
-                    std::fprintf(stderr,
-                                 "  (under VANTAGE_SIMD=%s)\n",
-                                 simd::levelName(lvl));
-                    return reportFailure(
-                        fc, static_cast<std::uint64_t>(bad));
-                }
-                if (li == 0) {
-                    ref_digest = digest.value();
-                } else if (digest.value() != ref_digest) {
-                    simd::setLevelForTest(startup_level);
-                    std::fprintf(
-                        stderr,
-                        "FUZZ FAILURE\n  seed:    %llu\n"
-                        "  config:  %s\n"
-                        "  digest mismatch: %s 0x%016llx != %s "
-                        "0x%016llx\n"
-                        "reproduce: fuzz_driver --seed %llu --iters 1 "
-                        "--accesses %llu --simd-compare\n",
-                        static_cast<unsigned long long>(seed),
-                        fc.describe().c_str(),
-                        simd::levelName(sweep_levels[0]),
-                        static_cast<unsigned long long>(ref_digest),
-                        simd::levelName(lvl),
-                        static_cast<unsigned long long>(
-                            digest.value()),
-                        static_cast<unsigned long long>(seed),
-                        static_cast<unsigned long long>(accesses));
-                    return 1;
-                }
-            }
-            simd::setLevelForTest(startup_level);
-            continue;
-        }
         const std::int64_t bad =
             runCase(fc, check_every, allow_realloc, true, rep);
         if (bad >= 0) {

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for statistics utilities: counters, CDFs, time series, the
- * table printer, and the observability layer (JSON writer/parser,
- * stats registry, controller trace, profiling sites).
+ * Tests for statistics utilities: counters, CDFs, the table printer,
+ * and the observability layer (JSON writer/parser, stats registry,
+ * controller trace, profiling sites).
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "stats/json.h"
 #include "stats/registry.h"
 #include "stats/table.h"
-#include "stats/timeseries.h"
 #include "stats/trace.h"
 #include "workload/mixes.h"
 
@@ -146,71 +145,6 @@ TEST(EmpiricalCdfDeath, BadQuantilePanics)
     EmpiricalCdf cdf;
     cdf.add(0.5);
     EXPECT_DEATH(cdf.quantile(1.5), "out of range");
-}
-
-// ---------------------------------------------------------------
-// TimeSeries
-// ---------------------------------------------------------------
-
-TEST(TimeSeries, RecordsPointsInOrder)
-{
-    TimeSeries ts("size");
-    ts.add(10, 1.0);
-    ts.add(20, 3.0);
-    ASSERT_EQ(ts.points().size(), 2u);
-    EXPECT_EQ(ts.points()[0].time, 10u);
-    EXPECT_DOUBLE_EQ(ts.points()[1].value, 3.0);
-    EXPECT_DOUBLE_EQ(ts.mean(), 2.0);
-    EXPECT_EQ(ts.name(), "size");
-}
-
-TEST(TimeSeries, EmptyMeanIsZero)
-{
-    TimeSeries ts;
-    EXPECT_TRUE(ts.empty());
-    EXPECT_EQ(ts.mean(), 0.0);
-    EXPECT_TRUE(ts.name().empty());
-}
-
-TEST(TimeSeries, NegativeAndRepeatedTimesArePreserved)
-{
-    // The series is a plain capture: it must not sort, deduplicate
-    // or reject repeated timestamps (a controller can sample twice
-    // at the same access count), and negative values are legal.
-    TimeSeries ts("aperture");
-    ts.add(5, -1.0);
-    ts.add(5, 3.0);
-    ts.add(2, 0.0); // Out-of-order time is stored as given.
-    ASSERT_EQ(ts.points().size(), 3u);
-    EXPECT_EQ(ts.points()[0].time, 5u);
-    EXPECT_EQ(ts.points()[1].time, 5u);
-    EXPECT_EQ(ts.points()[2].time, 2u);
-    EXPECT_DOUBLE_EQ(ts.points()[0].value, -1.0);
-    EXPECT_DOUBLE_EQ(ts.mean(), 2.0 / 3.0);
-    EXPECT_FALSE(ts.empty());
-}
-
-TEST(TimeSeries, RegistryJsonExportsParallelArrays)
-{
-    TimeSeries ts("size");
-    ts.add(100, 1.5);
-    ts.add(200, 2.5);
-    StatsRegistry reg;
-    reg.addSeries("part0.size", &ts);
-
-    std::ostringstream out;
-    reg.writeJson(out);
-    std::string error;
-    const JsonValue doc = JsonValue::parse(out.str(), error);
-    ASSERT_TRUE(error.empty()) << error;
-    const JsonValue *time = doc.find("part0.size.time");
-    const JsonValue *value = doc.find("part0.size.value");
-    ASSERT_NE(time, nullptr);
-    ASSERT_NE(value, nullptr);
-    ASSERT_EQ(time->array.size(), 2u);
-    ASSERT_EQ(value->array.size(), 2u);
-    EXPECT_DOUBLE_EQ(time->array[0].number, 100.0);
-    EXPECT_DOUBLE_EQ(value->array[1].number, 2.5);
 }
 
 // ---------------------------------------------------------------
@@ -368,13 +302,9 @@ TEST(StatsRegistry, JsonRoundTrip)
     RunningStat rs;
     rs.add(1.0);
     rs.add(3.0);
-    TimeSeries ts("size");
-    ts.add(10, 4.0);
-    ts.add(20, 8.0);
     reg.addCounter("cache.l2.part0.hits", &hits);
     reg.addGauge("cache.l2.miss_rate", [] { return 0.25; });
     reg.addStat("cache.l2.latency", &rs);
-    reg.addSeries("cache.l2.size", &ts);
     reg.addString("run.config", "test");
 
     std::ostringstream out;
@@ -387,10 +317,6 @@ TEST(StatsRegistry, JsonRoundTrip)
     EXPECT_DOUBLE_EQ(doc.find("cache.l2.miss_rate")->number, 0.25);
     EXPECT_DOUBLE_EQ(doc.find("cache.l2.latency.count")->number, 2.0);
     EXPECT_DOUBLE_EQ(doc.find("cache.l2.latency.mean")->number, 2.0);
-    ASSERT_NE(doc.find("cache.l2.size.time"), nullptr);
-    EXPECT_EQ(doc.find("cache.l2.size.time")->array.size(), 2u);
-    EXPECT_DOUBLE_EQ(doc.find("cache.l2.size.value")->array[1].number,
-                     8.0);
     EXPECT_EQ(doc.find("run.config")->str, "test");
 }
 
